@@ -6,25 +6,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for grid scans, contour sampling, truncation and residual targets.
-
-    ``width_target`` is the certification width (gap between the smallest
-    sampled value and the certified lower bound) that grid refinement aims
-    for before declaring itself done; the hard stop is ``grid_max`` samples.
-    """
+    """Caps for grid scans, contour sampling, truncation and residual targets."""
 
     grid_max: int = 2**18
     winding_max: int = 2**20
     truncation_n: int = 256
     tol: float = 1e-9
-    width_target: float = 1e-3
 
     def __post_init__(self):
         if self.grid_max < 64 or self.winding_max < 64:
             raise ValueError("budgets too small to certify anything")
         if self.truncation_n < 4:
             raise ValueError("truncation length must be at least 4")
-        if not (self.tol > 0 and self.width_target > 0):
+        if not self.tol > 0:
             raise ValueError("tolerances must be positive")
 
     @classmethod

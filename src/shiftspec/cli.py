@@ -11,17 +11,12 @@ Instance files are JSON: {"weights": ..., "map": ..., "budgets": ...} with
 budgets optional (defaults: gridMax 2^18, windingMax 2^20, truncationN 256,
 tol 1e-9).  Exit codes: 0 JCLASS, 1 NOT_JCLASS, 2 UNDECIDED for decide;
 64 parse error, 65 unsupported or refused input, 70 simulation failure.
-
-The SHIFTSPEC_THREADS environment variable caps internal parallelism; the
-current implementation evaluates grids as vectorized batches in a single
-process, so any cap >= 1 is honored as-is.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -53,26 +48,20 @@ class ParseFailure(Exception):
     pass
 
 
-def thread_cap() -> int:
-    """Parallelism cap from SHIFTSPEC_THREADS (>= 1); informational for the
-    current single-process vectorized implementation."""
-    raw = os.environ.get("SHIFTSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
+    data = _read_json(path)
     try:
         op = OperatorSpec.from_dict(data)
         budget = Budget.from_dict(data.get("budgets"))
@@ -82,15 +71,7 @@ def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
 
 
 def _load_vector(path: str, n: int) -> TruncatedVector:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(
-            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = _read_json(path)
     try:
         if isinstance(data, list):
             coords = np.array([complex(re, im) for re, im in data])
@@ -152,7 +133,9 @@ def cmd_simulate(args) -> int:
 
     if args.jset_start:
         start = _load_vector(args.jset_start, n)
-        rep = jset_experiment(op, start, [target], budget=budget, seed=args.seed)
+        rep = jset_experiment(
+            op, start, [target], budget=budget, seed=args.seed, verdict=verdict
+        )
         _emit(rep.to_dict())
         return 0 if rep.status != "INCONCLUSIVE" else EXIT_SIM_FAILED
 

@@ -26,7 +26,7 @@ from .budget import Budget
 from .holo import Polynomial
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
-from .weights import WeightSequence, spectral_profile
+from .weights import WeightSequence, spectral_profile, window_products
 
 __all__ = [
     "TruncatedVector",
@@ -141,16 +141,6 @@ class TruncatedVector:
         return cls(coords, int(d.get("exactPrefix", len(coords))))
 
 
-def _cumprods(w: WeightSequence, n: int) -> np.ndarray:
-    # direct float products (not log space): round trips through the same
-    # ratios cancel exactly for power-of-two weights, and the buffer
-    # lengths here keep products inside float range
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    np.cumprod(w.values_array(n), out=out[1:])
-    return out
-
-
 def shift_power(w: WeightSequence, x: TruncatedVector, n: int) -> TruncatedVector:
     """n-fold weighted backward shift: coordinate k becomes
     (w_k ... w_{k+n-1}) x_{k+n}."""
@@ -159,10 +149,8 @@ def shift_power(w: WeightSequence, x: TruncatedVector, n: int) -> TruncatedVecto
     if n == 0:
         return x
     size = x.size
-    cp = _cumprods(w, size)
     out = np.zeros(size, dtype=complex)
-    k = np.arange(size - n)
-    out[: size - n] = (cp[k + n] / cp[k]) * x.coords[n:]
+    out[: size - n] = window_products(w, n, size - n) * x.coords[n:]
     return TruncatedVector(out, max(0, min(x.exact_prefix, size) - n))
 
 
@@ -196,10 +184,8 @@ def preimage_power(w: WeightSequence, z: TruncatedVector, n0: int) -> TruncatedV
     if n0 < 1:
         raise ValueError("power must be >= 1")
     size = z.size
-    cp = _cumprods(w, size)
     out = np.zeros(size, dtype=complex)
-    k = np.arange(size - n0)
-    out[n0:] = z.coords[: size - n0] / (cp[k + n0] / cp[k])
+    out[n0:] = z.coords[: size - n0] / window_products(w, n0, size - n0)
     return TruncatedVector(out, min(size, z.exact_prefix + n0))
 
 
@@ -225,9 +211,10 @@ def solve_factor_inner(
     size = y.size
     cap = guard * max(y.sup_norm_full(), 1e-300)
     out = np.zeros(size, dtype=complex)
+    ws = w.values_array(size - 1).tolist()
     xk = 0j
     for k in range(size - 1):
-        xk = (y.coords[k] + zeta * xk) / w.value(k + 1)
+        xk = (y.coords[k] + zeta * xk) / ws[k]
         if abs(xk) > cap:
             raise DivergenceError(
                 f"inner-factor recurrence exceeded {guard} x ||y|| at k={k + 2}"
@@ -486,10 +473,11 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
             f"|lambda| = {abs(lam)} must stay below the eigenvalue radius {prof.r3}"
         )
     coords = np.zeros(n, dtype=complex)
-    e = lam / w.value(1)
+    ws = w.values_array(max(1, n - 1)).tolist()
+    e = lam / ws[0]
     coords[0] = e
     for k in range(1, n):
-        e = e * lam / w.value(k)
+        e = e * lam / ws[k - 1]
         coords[k] = e
     return TruncatedVector(coords, n)
 
@@ -638,6 +626,7 @@ def jset_experiment(
     budget: Budget | None = None,
     seed: int = 0,
     error_target: float = 1e-6,
+    verdict: Verdict | None = None,
 ) -> JSetReport:
     """Membership experiments for the extended limit set of x.
 
@@ -651,16 +640,18 @@ def jset_experiment(
     reach at finite truncation).
     """
     budget = budget or Budget()
-    verdict = decide_geometric(op, budget)
+    verdict = verdict or decide_geometric(op, budget)
     if verdict.decision != JCLASS:
         raise ValueError(f"extended-limit-set experiment needs JCLASS, got {verdict.decision}")
     deg = op.map.degree
 
     if _is_null_like(x):
+        eps = verdict.condition_a.lower_bound - 1.0
         memberships = []
         for idx, y in enumerate(targets):
-            probe = mixing_witness(op, y, m_max=1, budget=budget, verdict=verdict)
-            max_stages = max(1, (x.exact_prefix - 4) // max(1, probe.n0 * deg))
+            # the block size mixing_witness will choose at its default tol
+            n0 = _choose_n0(op, y, eps, 1e-9)
+            max_stages = max(1, (x.exact_prefix - 4) // max(1, n0 * deg))
             wit = mixing_witness(op, y, m_max=max_stages, budget=budget, verdict=verdict)
             # a verified decay bound extrapolates the approach vectors to 0
             # beyond the computed stages; losing it voids the certificate

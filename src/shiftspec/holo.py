@@ -379,9 +379,10 @@ class CertifiedBound:
         }
 
 
-def _lip_profile(f: HoloMap, radii: np.ndarray) -> np.ndarray:
-    out = f.lipschitz_bound(radii)
-    return np.asarray(out, dtype=float)
+# certification width (gap between the smallest sampled value and the
+# certified lower bound) that grid refinement aims for; the hard stop is
+# the grid_max budget
+_WIDTH_TARGET = 1e-3
 
 
 def min_modulus_on_annulus(
@@ -395,7 +396,7 @@ def min_modulus_on_annulus(
     Monomials a z^d get the exact closed form |a| inner^d.  Otherwise a
     polar cell grid is refined: each cell is scored by |f(center)| minus a
     radius-local Lipschitz bound times the cell covering radius; cells that
-    cannot dip below max(threshold, min_sampled - width_target) are retired,
+    cannot dip below max(threshold, min_sampled - _WIDTH_TARGET) are retired,
     the rest are split along their longer side.  Refinement stops when no
     cells remain, a sampled point already witnesses |f| <= threshold, or the
     sample budget is exhausted (UNDECIDED if the threshold question is still
@@ -451,14 +452,14 @@ def min_modulus_on_annulus(
             best_pt = complex(centers[i])
 
         cov = np.sqrt((0.5 * (r_hi - r_lo)) ** 2 + (0.5 * r_hi * (t_hi - t_lo)) ** 2)
-        floors = vals - tail_err - _lip_profile(f, r_hi) * cov
+        floors = vals - tail_err - np.asarray(f.lipschitz_bound(r_hi), dtype=float) * cov
 
         if best_val + tail_err <= threshold:
             violation = True
             active_floor = float(floors.min())
             break
 
-        bar = max(threshold, best_val - budget.width_target)
+        bar = max(threshold, best_val - _WIDTH_TARGET)
         keep = floors <= bar
         if np.any(~keep):
             retired_floor = min(retired_floor, float(floors[~keep].min()))

@@ -33,7 +33,7 @@ from .holo import (
     holo_from_dict,
     min_modulus_on_annulus,
 )
-from .weights import SpectralProfile, WeightSequence, spectral_profile
+from .weights import SpectralProfile, WeightSequence, spectral_profile, window_products
 
 __all__ = [
     "OperatorSpec",
@@ -112,9 +112,6 @@ class ImageRegion:
         radii = np.sqrt(rng.uniform(lo, hi * shrink**2, n))
         angles = rng.uniform(0.0, 2.0 * math.pi, n)
         return radii * np.exp(1j * angles)
-
-    def image_samples(self, n: int, seed: int = 0) -> np.ndarray:
-        return np.asarray(self.map.eval(self.base_samples(n, seed)))
 
     def to_dict(self) -> dict:
         return {
@@ -244,10 +241,7 @@ def forward_shift_matrix(w: WeightSequence, n: int) -> np.ndarray:
     The last basis vector maps out of range, so the truncated injectivity
     modulus is spuriously 0; use the compressed power for modulus oracles.
     """
-    a = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        a[k, k - 1] = w.value(k)
-    return a
+    return np.diag(w.values_array(n - 1).astype(complex), -1)
 
 
 def compressed_forward_power_matrix(w: WeightSequence, n: int, power: int) -> np.ndarray:
@@ -255,11 +249,7 @@ def compressed_forward_power_matrix(w: WeightSequence, n: int, power: int) -> np
     product w_k ... w_{k+power-1}, with the codomain reindexed so that no
     coordinate overflows the truncation (the zero overflow rows are dropped).
     """
-    prods = [
-        math.exp(sum(math.log(w.value(k + i)) for i in range(power)))
-        for k in range(1, n + 1)
-    ]
-    return np.diag(np.asarray(prods, dtype=complex))
+    return np.diag(window_products(w, power, n).astype(complex))
 
 
 def _vec_norm(x: np.ndarray, norm: str, axis=0) -> np.ndarray:

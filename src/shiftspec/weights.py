@@ -9,9 +9,12 @@ associated shift operators available in closed form:
   r2 = lim_n inf_k (w_k ... w_{k+n-1})^{1/n}   (inner radius)
   r3 = liminf_n (w_1 ... w_n)^{1/n}            (leading-window radius)
 
-All window products are accumulated in log space so that long windows never
-overflow.  Values are immutable after construction and every operation here
-is a pure function.
+Window products for the dynamics come from ``window_products``: direct
+float products, exact for power-of-two weights, that overflow only where
+the product of a window itself leaves float range.  The asymptotic
+quantities (kappa, profile estimates) need windows of thousands of weights
+and are accumulated in log space instead.  Values are immutable after construction and every
+operation here is a pure function.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ __all__ = [
     "WeightSequence",
     "SpectralProfile",
     "window_product",
+    "window_products",
     "log_window_product",
     "spectral_profile",
     "estimate_profile",
@@ -194,6 +198,32 @@ class WeightSequence:
         return cls(tuple(d.get("prefix", ())), _tail_from_dict(d["tail"]))
 
 
+def window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
+    """w_k ... w_{k+n-1} for k = 1..count as direct float products.
+
+    Built by doubling: the length-2^(i+1) windows are products of two
+    shifted copies of the length-2^i windows, and the set bits of n pick
+    which lengths make up each window.  O(count log n) multiplications and
+    no division; every intermediate is the product of a sub-window, so
+    nothing overflows unless a window of at most n weights does.
+    """
+    if n < 0:
+        raise ValueError("window length must be >= 0")
+    out = np.ones(count)
+    block = w.values_array(count + n - 1)  # windows of length 1
+    done, length = 0, 1
+    while True:
+        if n & length:
+            out *= block[done : done + count]
+            done += length
+        if 2 * length > n:
+            return out
+        block = block[:-length] * block[length:]
+        length *= 2
+
+
+# log space: kappa and profile estimates take windows of thousands of
+# weights, whose direct products leave float range
 @lru_cache(maxsize=128)
 def _cumlogs_pow2(w: WeightSequence, n_pow2: int) -> np.ndarray:
     # entry i holds log(w_1 ... w_i); entry 0 is 0; treat as read-only
@@ -206,15 +236,6 @@ def _cumlogs_pow2(w: WeightSequence, n_pow2: int) -> np.ndarray:
 def _cumlogs(w: WeightSequence, n: int) -> np.ndarray:
     size = 1 << max(6, int(n - 1).bit_length())
     return _cumlogs_pow2(w, size)
-
-
-def _cumprods(w: WeightSequence, n: int) -> np.ndarray:
-    # plain float products; exact for power-of-two weights, used where
-    # round-trip identities must hold to the last bit
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    np.cumprod(w.values_array(n), out=out[1:])
-    return out
 
 
 def log_window_product(w: WeightSequence, k: int, n: int) -> float:

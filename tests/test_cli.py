@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from shiftspec.cli import (
     EXIT_UNSUPPORTED,
     load_instance,
     main,
-    thread_cap,
 )
 
 
@@ -195,8 +195,8 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("c, extra", [(20.0, []), (2.0, ["--trunc-n", "2048"])])
 def test_simulate_overflowing_windows_strict_output(tmp_path, capsys, c, extra):
-    # c^n exceeds the float range at this truncation, so plain window
-    # products overflow; that may fail the run but never print NaN
+    # c^n exceeds the float range at this truncation; a failing run may
+    # exit 70 but never prints NaN
     path = const_instance(tmp_path / "i.json", c, IDENTITY)
     code = main(["simulate", path, *extra])
     out = capsys.readouterr().out
@@ -205,6 +205,32 @@ def test_simulate_overflowing_windows_strict_output(tmp_path, capsys, c, extra):
     assert wit["ok"] is (code == 0)
     for s in wit["stages"]:
         assert math.isfinite(s["norm"]) and math.isfinite(s["roundTripResidual"])
+
+
+SHIFTED_SQUARE = str(Path(__file__).resolve().parents[1] / "instances" / "shifted_square.json")
+
+
+@pytest.mark.parametrize(
+    "c, path, extra",
+    [
+        (20.0, None, []),
+        (2.0, None, ["--trunc-n", "2048"]),
+        (None, SHIFTED_SQUARE, ["--trunc-n", "2048"]),
+    ],
+    ids=["weight20", "weight2-n2048", "shifted_square-n2048"],
+)
+def test_simulate_past_cumulative_product_range(tmp_path, capsys, c, path, extra):
+    # w_1 ... w_n leaves the float range at these truncations; the window
+    # products the witness needs do not, so the run succeeds
+    path = path or const_instance(tmp_path / "i.json", c, IDENTITY)
+    assert main(["simulate", path, *extra]) == 0
+    wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert wit["ok"] is True and len(wit["stages"]) == 5
+    for s in wit["stages"]:
+        assert math.isfinite(s["norm"]) and math.isfinite(s["roundTripResidual"])
+        if c == 2.0:
+            assert s["norm"] == 2.0 ** -s["m"]
+            assert s["roundTripResidual"] == 0.0
 
 
 def test_simulate_jset_mode(tmp_path, capsys):
@@ -254,10 +280,3 @@ def test_instance_round_trip(tmp_path):
         "weights": {"prefix": [], "tail": {"kind": "constant", "value": 2.0}},
         "map": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
     }
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SHIFTSPEC_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("SHIFTSPEC_THREADS", "junk")
-    assert thread_cap() == 1

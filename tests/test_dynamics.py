@@ -285,10 +285,48 @@ def test_mixing_witness_past_float_range_of_rate_power():
     assert wit.stages[-1].norm == 0.0 == wit.stages[-1].norm_bound
 
 
+LONG_N = 65536
+HEAVY_WEIGHTS = [
+    WeightSequence.constant(1e3),
+    WeightSequence.periodic([2.0, 1e3, 7.0], prefix=[0.5]),
+    WeightSequence.doubling_blocks(1.5, 1e3),
+]
+
+
+@pytest.mark.parametrize("w", HEAVY_WEIGHTS)
+def test_preimage_power_long_truncation_round_trips(w):
+    y = TruncatedVector.ones(LONG_N)
+    for n0 in (1, 3, 8):
+        x = preimage_power(w, y, n0)
+        assert np.all(np.isfinite(x.coords))
+        back = shift_power(w, x, n0)
+        assert back.prefix_distance(y) <= 1e-15
+
+
+@pytest.mark.parametrize("w", HEAVY_WEIGHTS)
+@pytest.mark.parametrize("f", [identity_map(), P(0, 0.1, 1)])
+def test_solve_poly_long_truncation_round_trips(w, f):
+    op = OperatorSpec(w, f)
+    y = TruncatedVector.ones(LONG_N)
+    x = solve_poly(op, y)
+    assert np.all(np.isfinite(x.coords))
+    assert apply_operator(op, x).prefix_distance(y) <= 1e-12
+
+
+@pytest.mark.parametrize("w", HEAVY_WEIGHTS)
+def test_mixing_witness_long_truncation(w):
+    op = OperatorSpec(w, identity_map())
+    wit = mixing_witness(op, TruncatedVector.ones(LONG_N), 4)
+    assert wit.ok and len(wit.stages) == 4
+    for s in wit.stages:
+        assert math.isfinite(s.norm) and 0.0 < s.norm <= s.norm_bound * (1 + 1e-9)
+        assert s.round_trip_residual <= 1e-12
+
+
 @pytest.mark.parametrize("c, n", [(20.0, 256), (2.0, 2048)])
 def test_mixing_witness_overflowing_windows_never_pass(c, n):
-    # c^n exceeds the float range, so plain window products overflow; a
-    # witness may only pass on finite stage norms and residuals
+    # c^n exceeds the float range; a witness may only pass on finite stage
+    # norms and residuals
     with np.errstate(over="ignore", invalid="ignore"):
         wit = mixing_witness(const_op(c), TruncatedVector.ones(n), 5)
     assert math.isfinite(wit.constant)

@@ -147,8 +147,7 @@ def test_min_modulus_reconstruction_inequality(rng):
 
 
 def test_min_modulus_width_target():
-    budget = Budget(width_target=1e-3)
-    cert = min_modulus_on_annulus(P(1, 0, 1), Annulus(2, 2), budget)
+    cert = min_modulus_on_annulus(P(1, 0, 1), Annulus(2, 2), Budget())
     assert cert.certifies_above
     assert cert.width <= 1e-3 + 1e-9
     assert cert.min_sampled == pytest.approx(3.0, abs=1e-6)

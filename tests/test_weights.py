@@ -14,6 +14,7 @@ from shiftspec.weights import (
     log_kappa_forward_power,
     spectral_profile,
     window_product,
+    window_products,
 )
 
 
@@ -74,6 +75,19 @@ def test_window_product_against_naive_oracle(rng):
         assert window_product(w, k, n) == pytest.approx(
             naive_window_product(w, k, n), rel=1e-12
         )
+
+
+def test_window_products_against_naive_oracle(rng):
+    kinds = [
+        WeightSequence.constant(rng.uniform(0.6, 3.0), prefix=rng.uniform(0.6, 3.0, 3)),
+        WeightSequence.periodic(rng.uniform(0.6, 3.0, 3), prefix=rng.uniform(0.6, 3.0, 2)),
+        WeightSequence.doubling_blocks(0.7, 2.9, prefix=rng.uniform(0.6, 3.0, 1)),
+    ]
+    for w in kinds:
+        for n in range(1, 65):
+            got = window_products(w, n, 40)
+            want = [naive_window_product(w, k, n) for k in range(1, 41)]
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_window_product_no_overflow_for_long_windows():
