@@ -186,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("path", help="instance JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-grid", type=int, default=None, help="max grid samples")
         p.add_argument("--budget-winding", type=int, default=None, help="max contour samples")
         p.add_argument("--trunc-n", type=int, default=None, help="truncation length")
@@ -205,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", default=None, help="target vector JSON file (default: all ones)")
     p.add_argument("--stages", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="noise seed for --jset-start")
     p.add_argument("--out", default=None, help="stage CSV output path")
     p.add_argument("--orbit-csv", default=None, help="also write the target's orbit envelope")
     p.add_argument("--jset-start", default=None,

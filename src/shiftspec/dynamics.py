@@ -258,18 +258,8 @@ def solve_factor_outer(
     return TruncatedVector(acc, exact)
 
 
-def solve_poly(
-    op: OperatorSpec,
-    y: TruncatedVector,
-    tol: float = 1e-9,
-) -> TruncatedVector:
-    """Solve f(shift) x = y by factoring f and routing each root.
-
-    Every root must fall strictly inside the inner disk or strictly outside
-    the outer one; a root inside the annulus (legitimate for operators
-    whose annulus image meets the unit disk) makes the factor unsolvable
-    and raises.  Outer inversions run first for numerical stability.
-    """
+def _solver(op: OperatorSpec, tol: float):
+    """Route the map's roots once; returns y -> x with f(shift) x = y."""
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("factor-routed solving needs a polynomial map")
     f = op.map
@@ -280,11 +270,9 @@ def solve_poly(
     roots = f.roots()
     inner = [z for z in roots if abs(z) <= prof.r2 - margin]
     outer = [z for z in roots if abs(z) >= prof.r1 + margin]
-    if len(inner) + len(outer) < len(roots):
-        stuck = [z for z in roots if z not in inner and z not in outer]
-        raise RootInAnnulusError(
-            f"roots {stuck} lie in or near the annulus [{prof.r2}, {prof.r1}]"
-        )
+    stuck = [z for z in roots if z not in inner and z not in outer]
+    if stuck:
+        raise RootInAnnulusError(f"roots {stuck} lie in or near the annulus [{prof.r2}, {prof.r1}]")
     lead = f.coeffs[-1]
     # truncation errors made by one factor solve are amplified by every
     # factor applied afterwards (at most r1 + |root| each), so each outer
@@ -293,15 +281,30 @@ def solve_poly(
     for z in roots:
         amp *= prof.r1 + abs(z) + 1.0
     tol_eff = tol / max(1.0, amp)
-    x = TruncatedVector(y.coords / lead, y.exact_prefix)
-    for z in outer:
-        x = solve_factor_outer(op.weights, z, x, tol=tol_eff)
-    for z in inner:
-        if z == 0:
-            x = preimage_power(op.weights, x, 1)
-        else:
-            x = solve_factor_inner(op.weights, z, x)
-    return x
+
+    def solve(y: TruncatedVector) -> TruncatedVector:
+        x = TruncatedVector(y.coords / lead, y.exact_prefix)
+        for z in outer:
+            x = solve_factor_outer(op.weights, z, x, tol=tol_eff)
+        for z in inner:
+            if z == 0:
+                x = preimage_power(op.weights, x, 1)
+            else:
+                x = solve_factor_inner(op.weights, z, x)
+        return x
+
+    return solve
+
+
+def solve_poly(op: OperatorSpec, y: TruncatedVector, tol: float = 1e-9) -> TruncatedVector:
+    """Solve f(shift) x = y by factoring f and routing each root.
+
+    Every root must fall strictly inside the inner disk or strictly outside
+    the outer one; a root inside the annulus (legitimate for operators
+    whose annulus image meets the unit disk) makes the factor unsolvable
+    and raises.  Outer inversions run first for numerical stability.
+    """
+    return _solver(op, tol)(y)
 
 
 @dataclass(frozen=True)
@@ -362,13 +365,7 @@ class MixingWitness:
         }
 
 
-def _solve_once(op: OperatorSpec, y: TruncatedVector, tol: float) -> TruncatedVector:
-    if op.map.is_identity:
-        return preimage_power(op.weights, y, 1)
-    return solve_poly(op, y, tol=tol)
-
-
-def _choose_n0(op: OperatorSpec, y: TruncatedVector, eps: float, tol: float) -> int:
+def _choose_n0(solve, y: TruncatedVector, eps: float) -> int:
     """Smallest block size for which one solve block contracts the norm at
     the certified rate; falls back to 1 (the constant absorbs transients)."""
     base = y.sup_norm()
@@ -377,7 +374,7 @@ def _choose_n0(op: OperatorSpec, y: TruncatedVector, eps: float, tol: float) -> 
     for cand in (1, 2, 4, 8):
         v = y
         for _ in range(cand):
-            v = _solve_once(op, v, tol)
+            v = solve(v)
         if v.sup_norm() <= base / (1.0 + eps) ** cand * (1.0 + 1e-9):
             return cand
     return 1
@@ -401,7 +398,8 @@ def mixing_witness(
     if verdict.decision != JCLASS:
         raise ValueError(f"mixing witness needs a JCLASS operator, got {verdict.decision}")
     eps = verdict.condition_a.lower_bound - 1.0
-    n0 = _choose_n0(op, y, eps, tol)
+    solve = _solver(op, tol)
+    n0 = _choose_n0(solve, y, eps)
     rate = (1.0 + eps) ** n0
     y_norm = y.sup_norm()
 
@@ -410,7 +408,7 @@ def mixing_witness(
     x = y
     for m in range(1, m_max + 1):
         for _ in range(n0):
-            x = _solve_once(op, x, tol)
+            x = solve(x)
         if x.exact_prefix <= 0:
             ok, failure = False, f"exact prefix exhausted at stage {m}"
             break
@@ -648,9 +646,10 @@ def jset_experiment(
     if _is_null_like(x):
         eps = verdict.condition_a.lower_bound - 1.0
         memberships = []
+        solve = _solver(op, 1e-9)
         for idx, y in enumerate(targets):
             # the block size mixing_witness will choose at its default tol
-            n0 = _choose_n0(op, y, eps, 1e-9)
+            n0 = _choose_n0(solve, y, eps)
             max_stages = max(1, (x.exact_prefix - 4) // max(1, n0 * deg))
             wit = mixing_witness(op, y, m_max=max_stages, budget=budget, verdict=verdict)
             # a verified decay bound extrapolates the approach vectors to 0

@@ -119,10 +119,6 @@ class Polynomial:
     def validity_radius(self) -> float:
         return math.inf
 
-    @property
-    def is_identity(self) -> bool:
-        return self.coeffs == (0j, 1 + 0j)
-
     def monomial_form(self) -> tuple[complex, int] | None:
         """(a, d) when f = a z^d (a single nonzero coefficient), else None."""
         nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
@@ -165,7 +161,8 @@ class Polynomial:
         """All complex roots with multiplicity, Newton-polished.
 
         Companion-matrix seeds from numpy, each refined until the residual
-        clears 1e-10 * (1 + max |coeff|).
+        clears 1e-10 * (1 + max |coeff|), and accepted within that target
+        plus Horner's rounding allowance at the root's own modulus.
         """
         if self.degree < 1:
             raise ValueError("roots are defined for degree >= 1 polynomials")
@@ -187,7 +184,7 @@ class Polynomial:
                 z = z - fz / dz
             roots.append(z)
             residuals.append(abs(self.eval(z)))
-        if any(r > target for r in residuals):
+        if any(r > target + self.eval_round_error(abs(z)) for z, r in zip(roots, residuals)):
             raise RootRefinementError(
                 f"root refinement residuals {residuals} exceed {target}"
             )
@@ -235,10 +232,6 @@ class Series:
     @property
     def kind(self) -> str:
         return "series"
-
-    @property
-    def is_identity(self) -> bool:
-        return False
 
     def monomial_form(self):
         return None

@@ -15,12 +15,15 @@ independent decision routes are implemented:
     the map has a root inside the eigenvalue disk of radius r3, which
     exhibits an eigenvector for the eigenvalue 0.
 
+Both routes start from the same condition-A certificate, so
+``cross_check`` certifies it once per operator and hands it to both.
 Certified verdicts from the two routes can never contradict each other;
 near thresholds both abstain (UNDECIDED) rather than encode grid noise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,143 +121,85 @@ class Verdict:
         return 0.0
 
 
-def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
-    """Decide via the annulus-avoidance and disk-coverage certificates."""
-    budget = budget or Budget()
-    prof = op.check_validity()
-    cert_a = i_of_adjoint(op, budget)
-    route = CLOSED_FORM if op.map.monomial_form() is not None else GEOMETRIC
+def _condition_a(op: OperatorSpec, budget: Budget) -> tuple[SpectralProfile, CertifiedBound]:
+    """The profile and the condition-A certificate both routes start from."""
+    return op.check_validity(), i_of_adjoint(op, budget)
 
+
+def _verdicts(route: str, prof: SpectralProfile, cert_a: CertifiedBound):
+    """Verdict builder for one route: the decision, then what differs from margin 0."""
+    return partial(Verdict, route=route, margin=0.0, profile=prof, condition_a=cert_a)
+
+
+def _require_polynomial(op: OperatorSpec) -> None:
+    if not isinstance(op.map, Polynomial):
+        raise UnsupportedMapError("the moduli route needs a polynomial map")
+
+
+def _geometric(
+    op: OperatorSpec, prof: SpectralProfile, cert_a: CertifiedBound, budget: Budget
+) -> Verdict:
+    route = CLOSED_FORM if op.map.monomial_form() is not None else GEOMETRIC
+    verdict = _verdicts(route, prof, cert_a)
     if cert_a.certifies_violation:
-        return Verdict(
-            decision=NOT_JCLASS,
-            route=route,
-            margin=max(0.0, 1.0 - cert_a.min_sampled),
-            profile=prof,
-            condition_a=cert_a,
-            notes="annulus image meets the closed unit disk",
-        )
+        return verdict(NOT_JCLASS, margin=max(0.0, 1.0 - cert_a.min_sampled),
+                       notes="annulus image meets the closed unit disk")
 
     if cert_a.certifies_above:
         cover = covers_closed_unit_disk(op.map, prof.r2, cert_a, budget)
         if cover.status == UNDECIDED:
-            return Verdict(
-                decision=VERDICT_UNDECIDED,
-                route=route,
-                margin=0.0,
-                profile=prof,
-                condition_a=cert_a,
-                condition_b=cover,
-                notes="winding sampling budget exhausted",
-            )
+            return verdict(VERDICT_UNDECIDED, condition_b=cover,
+                           notes="winding sampling budget exhausted")
         if cover.covers:
             # clearance of both certificates: the annulus bound over 1 and
             # the winding curve's certified distance to the closed unit disk
-            margin = min(
-                cert_a.lower_bound - 1.0,
-                cover.winding.min_distance - 1.0,
-            )
-            return Verdict(
-                decision=JCLASS,
-                route=route,
-                margin=margin,
-                profile=prof,
-                condition_a=cert_a,
-                condition_b=cover,
-            )
-        return Verdict(
-            decision=NOT_JCLASS,
-            route=route,
-            margin=cert_a.lower_bound - 1.0,
-            profile=prof,
-            condition_a=cert_a,
-            condition_b=cover,
-            notes="unit disk not covered (winding 0 about the origin)",
-        )
+            margin = min(cert_a.lower_bound - 1.0, cover.winding.min_distance - 1.0)
+            return verdict(JCLASS, margin=margin, condition_b=cover)
+        return verdict(NOT_JCLASS, margin=cert_a.lower_bound - 1.0, condition_b=cover,
+                       notes="unit disk not covered (winding 0 about the origin)")
 
     # Condition A is open, but a valid winding 0 about the origin alone
     # already refutes coverage: the origin then has no preimage in the
     # inner disk, and it lies in the closed unit disk.
     wr = winding_number(op.map, prof.r2, 0j, budget)
     if wr.valid and wr.winding == 0:
-        return Verdict(
-            decision=NOT_JCLASS,
-            route=route,
-            margin=0.0,
-            profile=prof,
-            condition_a=cert_a,
-            condition_b=CoverageResult(False, CERTIFIED, wr),
-            notes="coverage refuted while the annulus bound stayed open",
-        )
-    return Verdict(
-        decision=VERDICT_UNDECIDED,
-        route=route,
-        margin=0.0,
-        profile=prof,
-        condition_a=cert_a,
-        notes="annulus minimum within certification width of 1",
-    )
+        return verdict(NOT_JCLASS, condition_b=CoverageResult(False, CERTIFIED, wr),
+                       notes="coverage refuted while the annulus bound stayed open")
+    return verdict(VERDICT_UNDECIDED, notes="annulus minimum within certification width of 1")
 
 
-def decide_moduli(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
-    """Decide via the adjoint modulus bound and the kernel witness."""
-    budget = budget or Budget()
-    if not isinstance(op.map, Polynomial):
-        raise UnsupportedMapError("the moduli route needs a polynomial map")
-    prof = op.check_validity()
-    bound = i_of_adjoint(op, budget)
-
-    if bound.certifies_violation:
-        return Verdict(
-            decision=NOT_JCLASS,
-            route=MODULI,
-            margin=max(0.0, 1.0 - bound.min_sampled),
-            profile=prof,
-            condition_a=bound,
-            notes="adjoint modulus not above 1",
-        )
+def _moduli(op: OperatorSpec, prof: SpectralProfile, cert_a: CertifiedBound) -> Verdict:
+    verdict = _verdicts(MODULI, prof, cert_a)
+    if cert_a.certifies_violation:
+        return verdict(NOT_JCLASS, margin=max(0.0, 1.0 - cert_a.min_sampled),
+                       notes="adjoint modulus not above 1")
 
     ker = kernel_nontrivial(op)
     if ker.status == KERNEL_FALSE:
         # a root-free spectral disk refutes the eigenvalue condition on its
         # own, no matter where the modulus bound landed
-        return Verdict(
-            decision=NOT_JCLASS,
-            route=MODULI,
-            margin=bound.lower_bound - 1.0 if bound.certifies_above else 0.0,
-            profile=prof,
-            condition_a=bound,
-            kernel=ker,
-            notes="no eigenvalue 0: every root clears the spectral disk",
-        )
-    if not bound.certifies_above:
-        return Verdict(
-            decision=VERDICT_UNDECIDED,
-            route=MODULI,
-            margin=0.0,
-            profile=prof,
-            condition_a=bound,
-            kernel=ker,
-            notes="adjoint modulus within certification width of 1",
-        )
+        margin = cert_a.lower_bound - 1.0 if cert_a.certifies_above else 0.0
+        return verdict(NOT_JCLASS, margin=margin, kernel=ker,
+                       notes="no eigenvalue 0: every root clears the spectral disk")
+    if not cert_a.certifies_above:
+        return verdict(VERDICT_UNDECIDED, kernel=ker,
+                       notes="adjoint modulus within certification width of 1")
     if ker.status == KERNEL_TRUE:
-        return Verdict(
-            decision=JCLASS,
-            route=MODULI,
-            margin=bound.lower_bound - 1.0,
-            profile=prof,
-            condition_a=bound,
-            kernel=ker,
-        )
-    return Verdict(
-        decision=VERDICT_UNDECIDED,
-        route=MODULI,
-        margin=0.0,
-        profile=prof,
-        condition_a=bound,
-        kernel=ker,
-        notes="kernel question open for roots between r3 and r1",
-    )
+        return verdict(JCLASS, margin=cert_a.lower_bound - 1.0, kernel=ker)
+    return verdict(VERDICT_UNDECIDED, kernel=ker,
+                   notes="kernel question open for roots between r3 and r1")
+
+
+def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
+    """Decide via the annulus-avoidance and disk-coverage certificates."""
+    budget = budget or Budget()
+    return _geometric(op, *_condition_a(op, budget), budget)
+
+
+def decide_moduli(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
+    """Decide via the adjoint modulus bound and the kernel witness."""
+    _require_polynomial(op)
+    return _moduli(op, *_condition_a(op, budget or Budget()))
 
 
 def decide_unweighted(f: HoloMap, budget: Budget | None = None) -> Verdict:
@@ -298,10 +243,14 @@ def cross_check(op: OperatorSpec, budget: Budget | None = None) -> ConsistencyRe
     PASS when the decisions agree, or when one is UNDECIDED and the other
     sits near its threshold (margin below twice its certification width);
     a certified contradiction or a confident verdict against an abstention
-    is a FAIL.
+    is a FAIL.  Condition A is certified once for both routes, and a series
+    map raises UnsupportedMapError only after the geometric route has run.
     """
-    g = decide_geometric(op, budget)
-    m = decide_moduli(op, budget)
+    budget = budget or Budget()
+    prof, cert_a = _condition_a(op, budget)
+    g = _geometric(op, prof, cert_a, budget)
+    _require_polynomial(op)
+    m = _moduli(op, prof, cert_a)
     if g.decision == m.decision:
         return ConsistencyReport(g, m, True, "decisions agree")
     undecided, decided = (g, m) if g.decision == VERDICT_UNDECIDED else (m, g)

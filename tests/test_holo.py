@@ -256,6 +256,26 @@ def test_roots_residual_bound(rng):
             assert abs(f.eval(z)) <= 1e-10 * scale
 
 
+def test_roots_large_root_within_rounding_allowance():
+    # a tiny leading coefficient puts one root near 691, where Horner's
+    # rounding alone exceeds the absolute target 1e-10 * (1 + max |a|)
+    f = P(
+        0.8938622079538034 - 0.351737360012764j,
+        -0.1613106291217945 + 0.7145541223598708j,
+        -0.06477370334527777 + 1.7295332262086887j,
+        -1.250702409194358 - 1.4460676452117127j,
+        0.002604151556353518 + 0.0009211163378552989j,
+    )
+    rs = f.roots()
+    target = 1e-10 * (1 + max(abs(c) for c in f.coeffs))
+    assert max(abs(z) for z in rs) > 600
+    assert max(abs(f.eval(z)) for z in rs) > target
+    reference = np.roots(f.coeffs[::-1])
+    for z in rs:
+        assert abs(f.eval(z)) <= target + f.eval_round_error(abs(z))
+        assert min(abs(reference - z)) <= 1e-12 * max(1.0, abs(z))
+
+
 def test_roots_series_unsupported():
     s = Series((1, 1), 0.5, 0.5, 2.0)
     with pytest.raises(AttributeError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import shiftspec.jclass
 from conftest import random_instance
 from shiftspec.budget import Budget
 from shiftspec.holo import CERTIFIED, Polynomial, Series, identity_map
@@ -18,7 +19,7 @@ from shiftspec.jclass import (
     perturbation_stability,
     product_preserves_jclass,
 )
-from shiftspec.spectra import OperatorSpec, UnsupportedMapError
+from shiftspec.spectra import OperatorSpec, UnsupportedMapError, i_of_adjoint
 from shiftspec.weights import WeightSequence
 
 
@@ -158,8 +159,39 @@ def test_cross_check_agreement_examples():
 
 def test_cross_check_randomized(rng):
     for _ in range(15):
-        rep = cross_check(random_instance(rng))
+        op = random_instance(rng)
+        rep = cross_check(op)
         assert rep.consistent, rep.detail
+        # the shared condition-A certificate changes neither route's verdict
+        assert rep.geometric.to_dict() == decide_geometric(op).to_dict()
+        assert rep.moduli.to_dict() == decide_moduli(op).to_dict()
+
+
+def count_condition_a(monkeypatch) -> list:
+    """Record every call of the condition-A certificate made by jclass."""
+    calls = []
+
+    def counting(op, budget=None):
+        calls.append(op)
+        return i_of_adjoint(op, budget)
+
+    monkeypatch.setattr(shiftspec.jclass, "i_of_adjoint", counting)
+    return calls
+
+
+def test_cross_check_certifies_condition_a_once(monkeypatch):
+    calls = count_condition_a(monkeypatch)
+    rep = cross_check(const_op(2.0, one_plus_zm(2)))
+    assert rep.consistent and rep.geometric.decision == JCLASS
+    assert len(calls) == 1
+
+
+def test_cross_check_rejects_series_after_geometric_route(monkeypatch):
+    op = OperatorSpec(WeightSequence.constant(2.0), Series((0, 1), 0.1, 0.3, 3.0))
+    calls = count_condition_a(monkeypatch)
+    with pytest.raises(UnsupportedMapError):
+        cross_check(op)
+    assert len(calls) == 1
 
 
 def test_route_dispatcher():
