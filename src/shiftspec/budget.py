@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for grid scans, contour sampling, truncation and residual targets."""
+    """Caps for circle scans, contour sampling, truncation and residual targets."""
 
     grid_max: int = 2**18
     winding_max: int = 2**20

@@ -258,6 +258,18 @@ def solve_factor_outer(
     return TruncatedVector(acc, exact)
 
 
+def _root_radius(f: Polynomial, z: complex) -> float:
+    """Radius about z that holds a root of f.  With |f(z)| <= res (Horner's
+    rounding allowance included), the product form gives (res / |a_d|)^(1/d)
+    and f'/f = sum 1/(z - root) gives d res / |f'(z)|."""
+    fz = dfz = 0j
+    for a in reversed(f.coeffs):
+        fz, dfz = fz * z + a, dfz * z + fz
+    res = abs(fz) + f.eval_round_error(abs(z))
+    rho = (res / abs(f.coeffs[-1])) ** (1.0 / f.degree)
+    return min(rho, f.degree * res / abs(dfz)) if dfz else rho
+
+
 def _solver(op: OperatorSpec, tol: float):
     """Route the map's roots once; returns y -> x with f(shift) x = y."""
     if not isinstance(op.map, Polynomial):
@@ -266,10 +278,10 @@ def _solver(op: OperatorSpec, tol: float):
     if f.degree < 1:
         raise ValueError("map must have degree >= 1 to be solved")
     prof = spectral_profile(op.weights)
-    margin = max(tol, 1e-9)
     roots = f.roots()
-    inner = [z for z in roots if abs(z) <= prof.r2 - margin]
-    outer = [z for z in roots if abs(z) >= prof.r1 + margin]
+    near = [_root_radius(f, z) for z in roots]
+    inner = [z for z, rho in zip(roots, near) if abs(z) + rho < prof.r2]
+    outer = [z for z, rho in zip(roots, near) if abs(z) - rho > prof.r1]
     stuck = [z for z in roots if z not in inner and z not in outer]
     if stuck:
         raise RootInAnnulusError(f"roots {stuck} lie in or near the annulus [{prof.r2}, {prof.r1}]")

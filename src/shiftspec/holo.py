@@ -5,10 +5,10 @@ coefficient tail (evaluate-only, with a documented truncation error).  The
 predicates this module certifies are the two that drive every decision
 downstream:
 
-  * a lower bound for min |f| over a centered annulus, via an adaptively
-    refined polar grid whose cells are certified with a Lipschitz bound for
-    f on the cell (branch-and-bound: cells that cannot dip below the
-    certification bar are retired, the rest are split);
+  * a lower bound for min |f| over a centered annulus, via a 1-D
+    branch-and-bound over arcs of its two boundary circles, each arc
+    certified with a Lipschitz bound; the minimum modulus principle carries
+    it to the whole annulus once the windings about 0 rule out a zero;
   * the winding number of the curve f(r e^{i\theta}) around a target, via
     argument increments on a doubling sample grid, declared valid once all
     increments are below pi/2 and the curve provably stays away from the
@@ -69,12 +69,11 @@ def _horner(coeffs: tuple[complex, ...], z):
     return out
 
 
-def _coeff_lipschitz(coeffs: tuple[complex, ...], radius):
+def _coeff_lipschitz(coeffs: tuple[complex, ...], radius: float) -> float:
     """sum n |a_n| radius^(n-1); an upper bound for |f'| on |z| <= radius."""
-    r = np.asarray(radius, dtype=float)
-    out = np.zeros_like(r)
+    out = 0.0
     for n in range(len(coeffs) - 1, 0, -1):
-        out = out * r + n * abs(coeffs[n])
+        out = out * radius + n * abs(coeffs[n])
     return out
 
 
@@ -141,11 +140,8 @@ class Polynomial:
     def eval_round_error(self, radius: float) -> float:
         return _round_error(self.coeffs, radius)
 
-    def lipschitz_bound(self, radius):
-        out = _coeff_lipschitz(self.coeffs, radius)
-        if np.ndim(radius) == 0:
-            return float(out)
-        return out
+    def lipschitz_bound(self, radius: float) -> float:
+        return _coeff_lipschitz(self.coeffs, radius)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -260,26 +256,14 @@ class Series:
     def eval_round_error(self, radius: float) -> float:
         return _round_error(self.coeffs, radius)
 
-    def lipschitz_bound(self, radius):
-        scalar = np.ndim(radius) == 0
-        r = np.atleast_1d(np.asarray(radius, dtype=float))
-        if np.any(r >= self.validity_radius):
+    def lipschitz_bound(self, radius: float) -> float:
+        if radius >= self.validity_radius:
             raise DomainError("radius outside validity disk")
-        out = _coeff_lipschitz(self.coeffs, r)
-        # derivative tail: t * sum_{n>=M} n q^n r^(n-1), M = number stored
+        # derivative tail: B * sum_{n>=m} n q^n r^(n-1), m = number stored
         m = len(self.coeffs)
-        s = self.tail_ratio * r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(
-                r > 0,
-                (self.tail_bound / np.where(r > 0, r, 1.0))
-                * s**m
-                * (m * (1 - s) + s)
-                / (1 - s) ** 2,
-                self.tail_bound * self.tail_ratio if m == 1 else 0.0,
-            )
-        out = out + tail
-        return float(out[0]) if scalar else out
+        s = self.tail_ratio * radius
+        tail = self.tail_bound * self.tail_ratio * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2
+        return _coeff_lipschitz(self.coeffs, radius) + tail
 
     def to_dict(self) -> dict:
         return {
@@ -320,9 +304,6 @@ class Annulus:
         object.__setattr__(self, "outer", float(self.outer))
         if not (0.0 <= self.inner <= self.outer):
             raise ValueError("need 0 <= inner <= outer")
-
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        return self.inner - tol <= abs(z) <= self.outer + tol
 
     def to_dict(self) -> dict:
         return {"inner": self.inner, "outer": self.outer}
@@ -373,9 +354,87 @@ class CertifiedBound:
 
 
 # certification width (gap between the smallest sampled value and the
-# certified lower bound) that grid refinement aims for; the hard stop is
+# certified lower bound) that arc refinement aims for; the hard stop is
 # the grid_max budget
 _WIDTH_TARGET = 1e-3
+
+
+class _CircleScan:
+    """1-D branch-and-bound for min |f| on circles |z| = r in an annulus.
+
+    A circle starts as 128 equal arcs, each scored by |f| at its centre
+    minus the evaluation allowance and the Lipschitz bound times its
+    covering radius r * half-width.  Arcs scored above max(threshold,
+    smallest sample - _WIDTH_TARGET) are retired and the rest halved, until
+    none remain, a sample witnesses |f| <= threshold, or all circles
+    together have spent grid_max evaluations.
+    """
+
+    def __init__(self, f: HoloMap, ann: Annulus, threshold: float, grid_max: int):
+        self.f, self.threshold, self.grid_max = f, threshold, grid_max
+        self.tail_err = f.eval_error(ann.outer) + f.eval_round_error(ann.outer)
+        self.evals, self.best_val, self.best_pt = 0, math.inf, complex(ann.outer)
+
+    @property
+    def violation(self) -> bool:
+        return self.best_val + self.tail_err <= self.threshold
+
+    def floor(self, r: float) -> float:
+        """Lower bound for |f| on |z| = r, possibly negative."""
+        lip = self.f.lipschitz_bound(r)
+        t_edges = np.linspace(0.0, 2.0 * math.pi, 129)
+        t_lo, t_hi = t_edges[:-1], t_edges[1:]
+        retired = math.inf
+        while True:
+            centers = r * np.exp(1j * (0.5 * (t_lo + t_hi)))
+            vals = np.abs(self.f.eval(centers))
+            self.evals += len(vals)
+            i = int(np.argmin(vals))
+            if vals[i] < self.best_val:
+                self.best_val, self.best_pt = float(vals[i]), complex(centers[i])
+            floors = vals - self.tail_err - lip * (0.5 * r * (t_hi - t_lo))
+            if self.violation:
+                return min(retired, float(floors.min()))
+            keep = floors <= max(self.threshold, self.best_val - _WIDTH_TARGET)
+            if not keep.all():
+                retired = min(retired, float(floors[~keep].min()))
+            if not keep.any():
+                return retired
+            if self.evals >= self.grid_max:
+                return min(retired, float(floors[keep].min()))
+            t_lo, t_hi = t_lo[keep], t_hi[keep]
+            t_mid = 0.5 * (t_lo + t_hi)
+            t_lo, t_hi = np.concatenate([t_lo, t_mid]), np.concatenate([t_mid, t_hi])
+
+
+def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
+                   budget: Budget) -> float:
+    """Lower bound for min |f| on inner < outer, given the inner circle's.
+
+    If f has no zero in the annulus, which holds exactly when the windings
+    about 0 on both circles are valid and equal (argument principle), the
+    minimum lies on a boundary circle (minimum modulus principle).  Else the
+    bound is 0; if the windings differ, a zero lies between the circles and
+    the annulus is halved toward it, the winding at the midpoint picking
+    the half, until a circle samples |f| <= threshold or grid_max runs out.
+    """
+    outer = math.inf if scan.violation else scan.floor(ann.outer)
+    if scan.violation:
+        return 0.0
+    w_lo, w_hi = (winding_number(f, r, 0j, budget) for r in (ann.inner, ann.outer))
+    valid = w_lo.valid and w_hi.valid
+    if valid and w_lo.winding == w_hi.winding:
+        return max(0.0, min(inner, outer))
+    lo, hi = ann.inner, ann.outer
+    while valid and scan.evals < scan.grid_max:
+        mid = 0.5 * (lo + hi)
+        scan.floor(mid)
+        if scan.violation:
+            break
+        w_mid = winding_number(f, mid, 0j, budget)
+        valid = w_mid.valid
+        lo, hi = (mid, hi) if w_mid.winding == w_lo.winding else (lo, mid)
+    return 0.0
 
 
 def min_modulus_on_annulus(
@@ -386,14 +445,11 @@ def min_modulus_on_annulus(
 ) -> CertifiedBound:
     """Certified lower bound L for min |f| on the annulus (true min >= L).
 
-    Monomials a z^d get the exact closed form |a| inner^d.  Otherwise a
-    polar cell grid is refined: each cell is scored by |f(center)| minus a
-    radius-local Lipschitz bound times the cell covering radius; cells that
-    cannot dip below max(threshold, min_sampled - _WIDTH_TARGET) are retired,
-    the rest are split along their longer side.  Refinement stops when no
-    cells remain, a sampled point already witnesses |f| <= threshold, or the
-    sample budget is exhausted (UNDECIDED if the threshold question is still
-    open at that point).
+    Monomials a z^d get the exact closed form |a| inner^d.  Other maps are
+    scanned on the boundary circles only (``_CircleScan``, ``_annulus_floor``).
+    A sample with |f| <= threshold is a violation witness; the result is
+    UNDECIDED when the sample budget runs out with the threshold question
+    still open.
     """
     budget = budget or Budget()
     if isinstance(f, Series) and ann.outer >= f.validity_radius:
@@ -403,95 +459,22 @@ def min_modulus_on_annulus(
     if mono is not None:
         a, d = mono
         lb = abs(a) * ann.inner**d if d > 0 else abs(a)
-        return CertifiedBound(
-            lower_bound=lb,
-            witness_point=complex(ann.inner if d > 0 else ann.outer),
-            grid_step=0.0,
-            lipschitz_bound=float(f.lipschitz_bound(ann.outer)),
-            status=CERTIFIED,
-            min_sampled=lb,
-            threshold=threshold,
-        )
+        return CertifiedBound(lb, complex(ann.inner if d > 0 else ann.outer), grid_step=0.0,
+                              lipschitz_bound=f.lipschitz_bound(ann.outer), status=CERTIFIED,
+                              min_sampled=lb, threshold=threshold)
 
-    tail_err = f.eval_error(ann.outer) + f.eval_round_error(ann.outer)
-    lip_outer = float(f.lipschitz_bound(ann.outer))
-
-    n_r = 1 if ann.outer == ann.inner else 8
-    n_t = 128
-    r_edges = np.linspace(ann.inner, ann.outer, n_r + 1)
-    t_edges = np.linspace(0.0, 2.0 * math.pi, n_t + 1)
-    r_lo = np.repeat(r_edges[:-1], n_t)
-    r_hi = np.repeat(r_edges[1:], n_t)
-    t_lo = np.tile(t_edges[:-1], n_r)
-    t_hi = np.tile(t_edges[1:], n_r)
-
-    evals = 0
-    best_val = math.inf
-    best_pt = complex(ann.outer)
-    retired_floor = math.inf
-    active_floor = math.inf
-    violation = False
-
-    while True:
-        rc = 0.5 * (r_lo + r_hi)
-        tc = 0.5 * (t_lo + t_hi)
-        centers = rc * np.exp(1j * tc)
-        vals = np.abs(f.eval(centers))
-        evals += len(vals)
-
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_pt = complex(centers[i])
-
-        cov = np.sqrt((0.5 * (r_hi - r_lo)) ** 2 + (0.5 * r_hi * (t_hi - t_lo)) ** 2)
-        floors = vals - tail_err - np.asarray(f.lipschitz_bound(r_hi), dtype=float) * cov
-
-        if best_val + tail_err <= threshold:
-            violation = True
-            active_floor = float(floors.min())
-            break
-
-        bar = max(threshold, best_val - _WIDTH_TARGET)
-        keep = floors <= bar
-        if np.any(~keep):
-            retired_floor = min(retired_floor, float(floors[~keep].min()))
-        if not np.any(keep):
-            active_floor = math.inf
-            break
-        if evals >= budget.grid_max:
-            active_floor = float(floors[keep].min())
-            break
-
-        # split surviving cells along their longer side (arc vs radial extent)
-        r_lo, r_hi = r_lo[keep], r_hi[keep]
-        t_lo, t_hi = t_lo[keep], t_hi[keep]
-        radial = (r_hi - r_lo) >= r_hi * (t_hi - t_lo)
-        r_mid = 0.5 * (r_lo + r_hi)
-        t_mid = 0.5 * (t_lo + t_hi)
-        r_lo = np.concatenate([r_lo, np.where(radial, r_mid, r_lo)])
-        r_hi = np.concatenate([np.where(radial, r_mid, r_hi), r_hi])
-        t_lo = np.concatenate([t_lo, np.where(radial, t_lo, t_mid)])
-        t_hi = np.concatenate([np.where(radial, t_hi, t_mid), t_hi])
-
-    lower = max(0.0, min(retired_floor, active_floor))
-    if violation or lower > threshold:
-        status = CERTIFIED
-    else:
-        status = UNDECIDED
-    if lip_outer > 0 and lower < best_val:
-        grid_step = (best_val - lower) * math.sqrt(2.0) / lip_outer
-    else:
-        grid_step = 0.0
+    lip_outer = f.lipschitz_bound(ann.outer)
+    scan = _CircleScan(f, ann, threshold, budget.grid_max)
+    lower = max(0.0, scan.floor(ann.inner))
+    if ann.inner < ann.outer:
+        lower = _annulus_floor(f, ann, scan, lower, budget)
+    width = scan.best_val - lower
     return CertifiedBound(
-        lower_bound=lower,
-        witness_point=best_pt,
-        grid_step=grid_step,
+        lower, scan.best_pt,
+        grid_step=width * math.sqrt(2.0) / lip_outer if lip_outer > 0 and width > 0 else 0.0,
         lipschitz_bound=lip_outer,
-        status=status,
-        min_sampled=best_val,
-        threshold=threshold,
-    )
+        status=CERTIFIED if scan.violation or lower > threshold else UNDECIDED,
+        min_sampled=scan.best_val, threshold=threshold)
 
 
 @dataclass(frozen=True)

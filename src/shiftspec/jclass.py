@@ -6,10 +6,10 @@ f stays outside the closed unit disk (condition A) and the image of the
 open disk of radius r2 covers the closed unit disk (condition B).  Two
 independent decision routes are implemented:
 
-  * the geometric route certifies A with a grid lower bound for min |f| on
-    the annulus and B with a single winding number around 0 (sound because
-    under A the image curve misses the closed unit disk, so the preimage
-    count is constant across it);
+  * the geometric route certifies A with a lower bound for min |f| on the
+    annulus, taken on its two boundary circles, and B with a single winding
+    number around 0 (sound because under A the image curve misses the
+    closed unit disk, so the preimage count is constant across it);
   * the moduli route checks that the certified annulus minimum (the
     asymptotic injectivity modulus of the adjoint side) exceeds 1 and that
     the map has a root inside the eigenvalue disk of radius r3, which
@@ -18,7 +18,7 @@ independent decision routes are implemented:
 Both routes start from the same condition-A certificate, so
 ``cross_check`` certifies it once per operator and hands it to both.
 Certified verdicts from the two routes can never contradict each other;
-near thresholds both abstain (UNDECIDED) rather than encode grid noise.
+near thresholds both abstain (UNDECIDED) rather than encode sampling noise.
 """
 from __future__ import annotations
 

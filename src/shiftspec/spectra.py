@@ -159,8 +159,8 @@ def i_of_adjoint(op: OperatorSpec, budget: Budget | None = None) -> CertifiedBou
     """Certified lower bound for the asymptotic injectivity modulus of the
     adjoint side: min |f| over the annulus [r2, r1].
 
-    Exact (width 0) for the identity map and monomials; a certified grid
-    bound otherwise.
+    Exact (width 0) for the identity map and monomials; otherwise a certified
+    bound from the two boundary circles (``holo.min_modulus_on_annulus``).
     """
     prof = op.check_validity()
     return min_modulus_on_annulus(

@@ -233,6 +233,14 @@ def test_simulate_past_cumulative_product_range(tmp_path, capsys, c, path, extra
             assert s["roundTripResidual"] == 0.0
 
 
+def test_simulate_loose_tol_keeps_root_routing(capsys):
+    # the roots +-i of 1 + z^2 clear the inner radius 1.5 by 0.5; a loose
+    # residual tolerance must not move them into the annulus
+    assert main(["simulate", SHIFTED_SQUARE, "--tol", "1"]) == 0
+    wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert wit["ok"] is True
+
+
 def test_simulate_jset_mode(tmp_path, capsys):
     path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
     start = tmp_path / "start.json"

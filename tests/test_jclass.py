@@ -6,7 +6,7 @@ import pytest
 import shiftspec.jclass
 from conftest import random_instance
 from shiftspec.budget import Budget
-from shiftspec.holo import CERTIFIED, Polynomial, Series, identity_map
+from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map
 from shiftspec.jclass import (
     JCLASS,
     NOT_JCLASS,
@@ -79,6 +79,48 @@ def test_series_map_geometric_route():
     v2 = decide_geometric(const_op(1.2, s2))
     assert v2.decision == NOT_JCLASS
     assert v2.condition_b.covers is False
+
+
+# -- condition A on the two boundary circles -------------------------------------
+
+BLOCKS_2_1 = WeightSequence.doubling_blocks(2.0, 1.0)  # annulus 1 <= |z| <= 2
+
+
+@pytest.mark.parametrize("f", [
+    P(-4.5, 3),
+    Series((-4.5, 3), tail_bound=1e-12, tail_ratio=0.1, validity_radius=5.0),
+], ids=["poly", "series"])
+def test_zero_between_clear_circles_is_a_violation(f):
+    # |3z - 4.5| >= 1.5 on both circles, but its zero 1.5 lies between them:
+    # the windings 0 and 1 differ, and halving toward the zero finds |f| <= 1
+    v = decide_geometric(OperatorSpec(BLOCKS_2_1, f))
+    a = v.condition_a
+    assert v.decision == NOT_JCLASS
+    assert a.status == CERTIFIED and a.lower_bound == 0.0
+    assert 1.0 <= abs(a.witness_point) <= 2.0
+    assert abs(f.eval(a.witness_point)) <= 1.0
+
+
+def test_zero_between_circles_budget_runs_out():
+    # same zero between the circles, plus a root at 0 so that coverage
+    # cannot refute; the budget stops before the halving finds a witness
+    f = P(0, -4.5, 3)
+    cert = i_of_adjoint(OperatorSpec(BLOCKS_2_1, f), Budget(grid_max=64))
+    assert cert.status == UNDECIDED and cert.lower_bound == 0.0
+    assert cert.min_sampled > 1.0
+    v = decide_geometric(OperatorSpec(BLOCKS_2_1, f), Budget(grid_max=64))
+    assert v.decision == VERDICT_UNDECIDED
+    assert v.condition_a.lower_bound == 0.0
+
+
+def test_annulus_violation_right_below_threshold():
+    # min |1 + z| over r <= |z| <= 1.5 r is r - 1 = 1 - 1e-9, reached on the
+    # inner circle only: a 1-D scan of that circle finds the witness
+    r = 2.0 - 1e-9
+    v = decide_geometric(OperatorSpec(WeightSequence.doubling_blocks(1.5 * r, r), P(1, 1)))
+    assert v.decision == NOT_JCLASS
+    assert v.condition_a.min_sampled <= 1.0
+    assert abs(abs(v.condition_a.witness_point) - r) <= 1e-12 * r
 
 
 def test_series_validity_radius_enforced():
