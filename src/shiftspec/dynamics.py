@@ -189,73 +189,79 @@ def preimage_power(w: WeightSequence, z: TruncatedVector, n0: int) -> TruncatedV
     return TruncatedVector(out, min(size, z.exact_prefix + n0))
 
 
+_SCAN_BLOCK = 64  # block length of the affine scan (a power of two)
+
+
+def _affine_scan(a: np.ndarray, b: np.ndarray, x1: complex) -> np.ndarray:
+    """x_1 = x1 and x_{k+1} = a_k x_k + b_k for k = 1..len(a).  Hillis-Steele
+    doubling composes the maps inside blocks of _SCAN_BLOCK (as in
+    window_products, no division); a loop over block ends carries x into the
+    next block.  A zero carry skips its block's product of a's, which may
+    overflow where x does not (inf * 0 would be NaN)."""
+    pad = -len(a) % _SCAN_BLOCK
+    A = np.concatenate((a, np.ones(pad)), dtype=complex).reshape(-1, _SCAN_BLOCK)
+    B = np.concatenate((b, np.zeros(pad)), dtype=complex).reshape(-1, _SCAN_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in (1 << i for i in range(_SCAN_BLOCK.bit_length() - 1)):
+            B[:, s:] = A[:, s:] * B[:, :-s] + B[:, s:]
+            A[:, s:] = A[:, s:] * A[:, :-s]
+        carry = [x1]
+        for ak, bk in zip(A[:-1, -1].tolist(), B[:-1, -1].tolist()):
+            carry.append(ak * carry[-1] + bk if carry[-1] else bk)
+        carry = np.array(carry)[:, None]
+        x = np.where(carry == 0, 0j, A * carry) + B
+    return np.concatenate(([x1], x.ravel()[: len(a)]))
+
+
+def _inner(ws: np.ndarray, zeta: complex, y: TruncatedVector, guard: float) -> TruncatedVector:
+    cap = guard * max(y.sup_norm_full(), 1e-300)
+    x = _affine_scan(zeta / ws, y.coords[:-1] / ws, 0j)[: y.size]
+    bad = np.flatnonzero(~(np.abs(x) <= cap))  # a NaN fails too
+    if len(bad):
+        raise DivergenceError(f"inner-factor recurrence exceeded {guard} x ||y|| at k={bad[0] + 1}")
+    return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
+
+
 def solve_factor_inner(
-    w: WeightSequence,
-    zeta: complex,
-    y: TruncatedVector,
-    guard: float = 1e6,
+    w: WeightSequence, zeta: complex, y: TruncatedVector, guard: float = 1e6
 ) -> TruncatedVector:
-    """Solve (shift - zeta) x = y by the coordinate recurrence
-    x_1 = 0, x_{k+1} = (y_k + zeta x_k) / w_k.
+    """Solve (shift - zeta) x = y: the affine recurrence x_1 = 0,
+    x_{k+1} = (zeta / w_k) x_k + y_k / w_k, taken by a blocked prefix scan.
 
     Needs |zeta| below the inner radius r2: the homogeneous amplification
     per step is zeta / w_k, whose long-run geometric mean is |zeta| / r2
     < 1, so the solution stays bounded.  Transient growth is instance
-    dependent, hence the divergence guard instead of a per-instance proof.
-    """
-    prof = spectral_profile(w)
-    if abs(zeta) >= prof.r2:
-        raise ValueError(
-            f"|zeta| = {abs(zeta)} must stay below the inner radius {prof.r2}"
-        )
-    size = y.size
-    cap = guard * max(y.sup_norm_full(), 1e-300)
-    out = np.zeros(size, dtype=complex)
-    ws = w.values_array(size - 1).tolist()
-    xk = 0j
-    for k in range(size - 1):
-        xk = (y.coords[k] + zeta * xk) / ws[k]
-        if abs(xk) > cap:
-            raise DivergenceError(
-                f"inner-factor recurrence exceeded {guard} x ||y|| at k={k + 2}"
-            )
-        out[k + 1] = xk
-    return TruncatedVector(out, min(size, y.exact_prefix + 1))
+    dependent, hence the divergence guard instead of a per-instance proof:
+    DivergenceError names the first coordinate k with |x_k| not at most
+    guard x ||y|| (a NaN counts as exceeding it)."""
+    r2 = spectral_profile(w).r2
+    if abs(zeta) >= r2:
+        raise ValueError(f"|zeta| = {abs(zeta)} must stay below the inner radius {r2}")
+    return _inner(w.values_array(y.size - 1), zeta, y, guard)
+
+
+def _outer(ws: np.ndarray, r1: float, zeta: complex, y: TruncatedVector, tol: float):
+    az = abs(zeta)
+    if az - r1 < tol:
+        raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
+    acc, term, scale = np.zeros(y.size, dtype=complex), y.coords, -1.0 / zeta
+    for j in range(1, 64 * y.size + 2):
+        acc += (scale / zeta ** (j - 1)) * term
+        term = np.append(ws * term[1:], 0j)  # one weighted backward shift
+        # the dropped remainder is exactly ||B^j y|| / |zeta|^j
+        if float(np.max(np.abs(term))) / az**j <= tol:
+            return TruncatedVector(acc, max(0, y.exact_prefix - (j - 1)))
+    raise RuntimeError("resolvent series failed to converge")
 
 
 def solve_factor_outer(
-    w: WeightSequence,
-    zeta: complex,
-    y: TruncatedVector,
-    tol: float = 1e-12,
+    w: WeightSequence, zeta: complex, y: TruncatedVector, tol: float = 1e-12
 ) -> TruncatedVector:
     """Solve (shift - zeta) x = y for |zeta| above the outer radius r1 via
     the geometric resolvent series x = -sum_j zeta^{-(j+1)} B^j y, truncated
     once the next term is below tol / |zeta| in sup norm (which caps the
     dropped remainder at tol)."""
-    prof = spectral_profile(w)
-    az = abs(zeta)
-    if az - prof.r1 < tol:
-        raise ValueError(
-            f"|zeta| = {az} must clear the outer radius {prof.r1} by more than {tol}"
-        )
-    size = y.size
-    acc = np.zeros(size, dtype=complex)
-    term = y
-    scale = -1.0 / zeta
-    exact = y.exact_prefix
-    j = 0
-    while True:
-        acc += (scale / zeta**j) * term.coords
-        exact = min(exact, term.exact_prefix)
-        j += 1
-        term = shift_power(w, term, 1)
-        # the dropped remainder is exactly ||B^j y|| / |zeta|^j
-        if term.sup_norm_full() / az**j <= tol:
-            break
-        if j > 64 * size:
-            raise RuntimeError("resolvent series failed to converge")
-    return TruncatedVector(acc, exact)
+    return _outer(w.values_array(y.size - 1), spectral_profile(w).r1, zeta, y, tol)
 
 
 def _root_radius(f: Polynomial, z: complex) -> float:
@@ -295,14 +301,12 @@ def _solver(op: OperatorSpec, tol: float):
     tol_eff = tol / max(1.0, amp)
 
     def solve(y: TruncatedVector) -> TruncatedVector:
+        ws = op.weights.values_array(y.size - 1)
         x = TruncatedVector(y.coords / lead, y.exact_prefix)
         for z in outer:
-            x = solve_factor_outer(op.weights, z, x, tol=tol_eff)
+            x = _outer(ws, prof.r1, z, x, tol_eff)
         for z in inner:
-            if z == 0:
-                x = preimage_power(op.weights, x, 1)
-            else:
-                x = solve_factor_inner(op.weights, z, x)
+            x = preimage_power(op.weights, x, 1) if z == 0 else _inner(ws, z, x, 1e6)
         return x
 
     return solve
@@ -377,19 +381,20 @@ class MixingWitness:
         }
 
 
-def _choose_n0(solve, y: TruncatedVector, eps: float) -> int:
-    """Smallest block size for which one solve block contracts the norm at
-    the certified rate; falls back to 1 (the constant absorbs transients)."""
-    base = y.sup_norm()
+def _choose_n0(solve, y: TruncatedVector, eps: float):
+    """Smallest block size n0 in (1, 2, 4, 8) for which n0 solves contract
+    the norm at the certified rate, or 1 (the constant absorbs transients);
+    returned with the probe chain [y, solve(y), solve(solve(y)), ...] of the
+    solves made, which the witness chain continues instead of repeating."""
+    chain, base = [y], y.sup_norm()
     if base == 0.0:
-        return 1
+        return 1, chain
     for cand in (1, 2, 4, 8):
-        v = y
-        for _ in range(cand):
-            v = solve(v)
-        if v.sup_norm() <= base / (1.0 + eps) ** cand * (1.0 + 1e-9):
-            return cand
-    return 1
+        while len(chain) <= cand:
+            chain.append(solve(chain[-1]))
+        if chain[cand].sup_norm() <= base / (1.0 + eps) ** cand * (1.0 + 1e-9):
+            return cand, chain
+    return 1, chain
 
 
 def mixing_witness(
@@ -402,25 +407,29 @@ def mixing_witness(
 ) -> MixingWitness:
     """Construct the mixing stages for a certified JCLASS operator.
 
-    Raises ValueError when the operator is not certified JCLASS.  Decay
-    violations and prefix exhaustion are reported in the witness rather
-    than raised, so callers can inspect the partial construction.
+    Stage m is link m n0 of one solve chain y, solve(y), ..., whose first
+    links come from the block-size probe, so no solve runs twice.  Raises
+    ValueError when the operator is not certified JCLASS.  Decay violations
+    and prefix exhaustion are reported in the witness rather than raised,
+    so callers can inspect the partial construction.
     """
     verdict = verdict or decide_geometric(op, budget)
     if verdict.decision != JCLASS:
         raise ValueError(f"mixing witness needs a JCLASS operator, got {verdict.decision}")
     eps = verdict.condition_a.lower_bound - 1.0
     solve = _solver(op, tol)
-    n0 = _choose_n0(solve, y, eps)
+    return _witness(op, y, m_max, eps, solve, *_choose_n0(solve, y, eps))
+
+
+def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
     rate = (1.0 + eps) ** n0
     y_norm = y.sup_norm()
 
     ok, failure = True, None
-    chain = [y]
-    x = y
+    chain, x = [y], y
     for m in range(1, m_max + 1):
-        for _ in range(n0):
-            x = solve(x)
+        for k in range((m - 1) * n0 + 1, m * n0 + 1):
+            x = probe[k] if k < len(probe) else solve(x)
         if x.exact_prefix <= 0:
             ok, failure = False, f"exact prefix exhausted at stage {m}"
             break
@@ -473,23 +482,16 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
     """Explicit eigenvector of the weighted shift for eigenvalue lam.
 
     Built from the recurrence w_k e_{k+1} = lam e_k seeded with
-    e_1 = lam / w_1, so the shift identity holds coordinate by coordinate
-    to rounding.  Requires |lam| below the leading-window radius r3, which
-    makes the coordinates decay to 0 (a null sequence).
+    e_1 = lam / w_1 (the affine scan with b = 0), so the shift identity
+    holds coordinate by coordinate to rounding.  Requires |lam| below the
+    leading-window radius r3, which makes the coordinates decay to 0 (a
+    null sequence).
     """
-    prof = spectral_profile(w)
-    if abs(lam) >= prof.r3:
-        raise ValueError(
-            f"|lambda| = {abs(lam)} must stay below the eigenvalue radius {prof.r3}"
-        )
-    coords = np.zeros(n, dtype=complex)
-    ws = w.values_array(max(1, n - 1)).tolist()
-    e = lam / ws[0]
-    coords[0] = e
-    for k in range(1, n):
-        e = e * lam / ws[k - 1]
-        coords[k] = e
-    return TruncatedVector(coords, n)
+    r3 = spectral_profile(w).r3
+    if abs(lam) >= r3:
+        raise ValueError(f"|lambda| = {abs(lam)} must stay below the eigenvalue radius {r3}")
+    ws = w.values_array(max(1, n - 1))
+    return TruncatedVector(_affine_scan(lam / ws[: n - 1], np.zeros(n - 1), lam / ws[0]), n)
 
 
 @dataclass(frozen=True)
@@ -658,12 +660,11 @@ def jset_experiment(
     if _is_null_like(x):
         eps = verdict.condition_a.lower_bound - 1.0
         memberships = []
-        solve = _solver(op, 1e-9)
+        solve = _solver(op, 1e-9)  # mixing_witness's default tol
         for idx, y in enumerate(targets):
-            # the block size mixing_witness will choose at its default tol
-            n0 = _choose_n0(solve, y, eps)
+            n0, probe = _choose_n0(solve, y, eps)
             max_stages = max(1, (x.exact_prefix - 4) // max(1, n0 * deg))
-            wit = mixing_witness(op, y, m_max=max_stages, budget=budget, verdict=verdict)
+            wit = _witness(op, y, max_stages, eps, solve, n0, probe)
             # a verified decay bound extrapolates the approach vectors to 0
             # beyond the computed stages; losing it voids the certificate
             decay_verified = wit.ok or (

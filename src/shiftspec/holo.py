@@ -517,13 +517,13 @@ def winding_number(
     lip = float(f.lipschitz_bound(radius))
 
     n = 256
-    result = None
     while True:
         theta = np.arange(n) * (2.0 * math.pi / n)
         phi = f.eval(radius * np.exp(1j * theta)) - target
         dist = np.abs(phi)
         min_dist = float(dist.min()) - tail_err
-        increments = np.angle(np.roll(phi, -1) * np.conj(phi))
+        u = phi / np.maximum(dist, 1e-300)  # raw products overflow past |f| ~ 1e154
+        increments = np.angle(np.roll(u, -1) * np.conj(u))
         total = float(increments.sum()) / (2.0 * math.pi)
         wind = int(round(total))
         arc = radius * 2.0 * math.pi / n
@@ -532,9 +532,8 @@ def winding_number(
             and float(np.abs(increments).max()) < 0.5 * math.pi
             and abs(total - wind) < 0.25
         )
-        result = WindingResult(wind, ok, n, min_dist)
         if ok or 2 * n > budget.winding_max:
-            return result
+            return WindingResult(wind, ok, n, min_dist)
         n *= 2
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,21 @@ def test_decide_byte_identical(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["decide", path])
     assert capsys.readouterr().out == first
+
+
+def test_decide_winding_past_product_range(tmp_path, capsys):
+    # |f| >= 3e160 on the circle |z| = 2: the product of two raw samples
+    # would overflow, the product of their unit directions does not
+    path = const_instance(tmp_path / "i.json", 2.0, [[1e160, 0], [0, 0], [1e160, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decide", path, "--route", "both"]) == EXIT_JCLASS
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["decision"] == "JCLASS"
+    wind = out["conditionB"]["winding"]
+    assert (wind["winding"], wind["valid"], wind["samples"]) == (2, True, 256)
 
 
 def test_decide_series_moduli_unsupported(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shiftspec.dynamics as dynamics
 from conftest import random_weights
 from shiftspec.dynamics import (
     HEURISTIC_NONMEMBER,
@@ -152,6 +157,90 @@ def test_inner_factor_domain_guard():
         solve_factor_inner(WeightSequence.constant(1.0), 1.0, TruncatedVector.ones(8))
 
 
+# the inner scan against the coordinate recurrence written out
+
+
+def naive_inner(w, zeta, y, guard=1e6):
+    """x_1 = 0, x_{k+1} = (y_k + zeta x_k) / w_k, one coordinate at a time,
+    stopping at the first k with |x_k| not at most guard x ||y||."""
+    cap = guard * max(float(np.max(np.abs(y))) if len(y) else 0.0, 1e-300)
+    out = [0j][: len(y)]
+    for k in range(1, len(y)):
+        out.append((complex(y[k - 1]) + zeta * out[-1]) / w.value(k))
+        if not abs(out[-1]) <= cap:
+            raise DivergenceError(f"at k={k + 1}")
+    return np.array(out, dtype=complex)
+
+
+def divergence_k(exc) -> int:
+    return int(re.search(r"k=(\d+)", str(exc)).group(1))
+
+
+BLOCK = dynamics._SCAN_BLOCK
+SCAN_SIZES = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3000)
+# prefix weights log-uniform in [1e-3, 1e3], so that runs of small weights
+# (and with them divergence) are common
+scan_weights = st.builds(
+    lambda prefix, tail: WeightSequence.periodic(tail, tuple(10.0**t for t in prefix)),
+    st.lists(st.floats(-3.0, 3.0), max_size=12),
+    st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
+)
+
+
+@pytest.mark.parametrize("n", SCAN_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(
+    w=scan_weights,
+    frac=st.floats(0.0, 0.999),
+    theta=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inner_scan_matches_recurrence(n, w, frac, theta, seed):
+    zeta = frac * spectral_profile(w).r2 * cmath.exp(1j * theta)
+    rng = np.random.default_rng(seed)
+    y = TruncatedVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
+    try:
+        ref = naive_inner(w, zeta, y.coords)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            solve_factor_inner(w, zeta, y)
+        assert divergence_k(got.value) == divergence_k(exc)
+        return
+    x = solve_factor_inner(w, zeta, y)
+    assert x.size == n and x.exact_prefix == n
+    assert np.max(np.abs(x.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inner_factor_divergence_names_first_coordinate():
+    # x_2 = 1 / 1e-3 = 1e3, x_3 = (1 + 1.5e3) / 1e-3 > 1e6 = guard x ||y||
+    w = WeightSequence.constant(2.0, (1e-3,) * 5)
+    y = TruncatedVector.ones(16)
+    with pytest.raises(DivergenceError) as ref:
+        naive_inner(w, 1.5, y.coords)
+    with pytest.raises(DivergenceError, match=r"at k=3$") as got:
+        solve_factor_inner(w, 1.5, y)
+    assert divergence_k(got.value) == divergence_k(ref.value) == 3
+
+
+def test_inner_factor_nan_fails_the_guard():
+    y = TruncatedVector.ones(2 * BLOCK)
+    y.coords[BLOCK] = math.nan
+    with pytest.raises(DivergenceError):
+        solve_factor_inner(WeightSequence.constant(2.0), 1.0, y)
+
+
+def test_inner_scan_zero_first_block_tiny_prefix():
+    # the first block's product of zeta / w_k is (99 / 1e-3)^64, past float
+    # range, but y vanishes there, so its carry is exactly 0 and x stays 0
+    w = WeightSequence.constant(100.0, (1e-3,) * BLOCK)
+    y = TruncatedVector(np.r_[np.zeros(BLOCK), np.ones(2 * BLOCK)], 3 * BLOCK)
+    x = solve_factor_inner(w, 99.0, y)
+    ref = naive_inner(w, 99.0, y.coords)
+    assert np.all(np.isfinite(x.coords))
+    assert np.all(x.coords[: BLOCK + 1] == 0)
+    assert np.max(np.abs(x.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_outer_factor_single_term():
     x = solve_factor_outer(WeightSequence.constant(1.0), 3.0, TruncatedVector.basis(8, 1))
     assert np.allclose(x.coords, [-1 / 3] + [0] * 7)
@@ -263,6 +352,57 @@ def test_mixing_witness_stage_chain():
     for s in wit.stages:
         back = apply_operator(op, s.z, (s.index - 1) * wit.n0)
         assert back.prefix_distance(y) == 0.0
+
+
+def count_solves(monkeypatch):
+    """Record every input handed to a routed solve."""
+    calls = []
+    route = dynamics._solver
+
+    def counting(op, tol):
+        solve = route(op, tol)
+
+        def counted(y):
+            calls.append(y)
+            return solve(y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_solver", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "w, f, n0, solves",
+    [
+        (WeightSequence.constant(2.0), identity_map(), 1, 3),
+        (WeightSequence.periodic([4.0, 1.1]), identity_map(), 2, 6),
+        (WeightSequence.periodic([2.0, 1.6, 1.8]), P(0.1, 0, 1), 4, 12),
+        (WeightSequence.periodic([3.0, 1.5, 2.0]), P(0, 0.1, 1), 8, 24),
+        # no block size contracts at the certified rate: the probe solves up
+        # to 8 times, and the 3 stages (n0 = 1) use the first 3 of those
+        (WeightSequence.constant(2.0, (1.0,) * 6), identity_map(), 1, 8),
+    ],
+)
+def test_mixing_witness_runs_one_solve_chain(monkeypatch, w, f, n0, solves):
+    calls = count_solves(monkeypatch)
+    wit = mixing_witness(OperatorSpec(w, f), TruncatedVector.ones(256), 3)
+    assert wit.ok and wit.n0 == n0 and len(wit.stages) == 3
+    assert len(calls) == solves
+    assert len({id(v) for v in calls}) == len(calls)  # no vector solved twice
+
+
+def test_jset_probes_each_target_once(monkeypatch):
+    probes = []
+    choose = dynamics._choose_n0
+    monkeypatch.setattr(dynamics, "_choose_n0", lambda *a: probes.append(a[1]) or choose(*a))
+    calls = count_solves(monkeypatch)
+    x = eigenvector(WeightSequence.constant(2.0), 0.5, 256)
+    targets = [TruncatedVector.ones(256), TruncatedVector.basis(256, 3)]
+    rep = jset_experiment(const_op(2.0), x, targets)
+    assert rep.status == MEMBER
+    assert probes == targets
+    assert len({id(v) for v in calls}) == len(calls)
 
 
 def test_mixing_witness_requires_jclass():
@@ -378,6 +518,25 @@ def test_eigenvector_decay(rng):
         # eventually monotone decay
         tail = mags[128:]
         assert np.all(np.diff(tail) <= 1e-15 + tail[:-1] * 0.999)
+
+
+@pytest.mark.parametrize("n", SCAN_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(
+    w=scan_weights,
+    # lambda / w_1 is exact to rounding only above the subnormal range
+    frac=st.just(0.0) | st.floats(1e-9, 0.999),
+    theta=st.floats(0.0, 2 * math.pi),
+)
+def test_eigenvector_scan_identity_coordinatewise(n, w, frac, theta):
+    # w_k e_{k+1} = lambda e_k to rounding at every coordinate, e_1 = lambda / w_1
+    lam = frac * spectral_profile(w).r3 * cmath.exp(1j * theta)
+    e = eigenvector(w, lam, n).coords
+    ws = w.values_array(n)
+    assert np.all(np.isfinite(e))
+    assert abs(e[0] * ws[0] - lam) <= 1e-13 * abs(lam)
+    rhs = lam * e[:-1]
+    assert np.all(np.abs(ws[:-1] * e[1:] - rhs) <= 1e-12 * np.abs(rhs) + 1e-300)
 
 
 def test_eigenvalue_transport_through_map(rng):
