@@ -7,12 +7,13 @@ downstream:
 
   * a lower bound for min |f| over a centered annulus, via a 1-D
     branch-and-bound over arcs of its two boundary circles, each arc
-    certified with a Lipschitz bound; the minimum modulus principle carries
-    it to the whole annulus once the windings about 0 rule out a zero;
+    certified with a second-order (tangent segment plus curvature) bound;
+    the minimum modulus principle carries it to the whole annulus once the
+    windings about 0 rule out a zero;
   * the winding number of the curve f(r e^{i\theta}) around a target, via
-    argument increments on a doubling sample grid, declared valid once all
-    increments are below pi/2 and the curve provably stays away from the
-    target between samples.
+    argument increments on a doubling sample grid (each doubling evaluates
+    only the new angles), declared valid once all increments are below pi/2
+    and the curve provably stays away from the target between samples.
 
 Everything is deterministic: no randomness, order-independent reductions.
 """
@@ -69,11 +70,39 @@ def _horner(coeffs: tuple[complex, ...], z):
     return out
 
 
+def _horner_with_derivative(coeffs: tuple[complex, ...], z: np.ndarray):
+    """f(z) and f'(z) in one Horner pass; f(z) rounds exactly as ``_horner``."""
+    out = np.full(z.shape, coeffs[-1])
+    der = np.zeros_like(out)
+    for a in coeffs[-2::-1]:
+        der = der * z + out
+        out = out * z + a
+    return out, der
+
+
+def _horner_scalar(coeffs: tuple[complex, ...], z: complex) -> tuple[complex, complex, complex]:
+    """f(z), f'(z) and f''(z) at one point, on plain Python complex numbers."""
+    f0 = f1 = f2 = 0j
+    for a in reversed(coeffs):
+        f2 = f2 * z + f1
+        f1 = f1 * z + f0
+        f0 = f0 * z + a
+    return f0, f1, 2.0 * f2
+
+
 def _coeff_lipschitz(coeffs: tuple[complex, ...], radius: float) -> float:
     """sum n |a_n| radius^(n-1); an upper bound for |f'| on |z| <= radius."""
     out = 0.0
     for n in range(len(coeffs) - 1, 0, -1):
         out = out * radius + n * abs(coeffs[n])
+    return out
+
+
+def _coeff_curvature(coeffs: tuple[complex, ...], radius: float) -> float:
+    """sum n (n-1) |a_n| radius^(n-2); an upper bound for |f''| on |z| <= radius."""
+    out = 0.0
+    for n in range(len(coeffs) - 1, 1, -1):
+        out = out * radius + n * (n - 1) * abs(coeffs[n])
     return out
 
 
@@ -90,6 +119,11 @@ def _round_error(coeffs: tuple[complex, ...], radius: float) -> float:
     for n, c in enumerate(coeffs):
         mag += abs(c) * radius**n
     return 4.0 * (len(coeffs) + 2) * _EPS * mag
+
+
+def _derivative_round_error(coeffs: tuple[complex, ...], radius: float) -> float:
+    """``_round_error`` for f' = sum n a_n z^(n-1) on |z| <= radius."""
+    return _round_error(tuple(n * c for n, c in enumerate(coeffs))[1:], radius)
 
 
 @dataclass(frozen=True)
@@ -128,7 +162,10 @@ class Polynomial:
             return 0j, 0
         return None
 
-    def eval(self, z):
+    def eval(self, z, derivative: bool = False):
+        """f(z); with ``derivative``, the pair (f(z), f'(z)) for an array z."""
+        if derivative:
+            return _horner_with_derivative(self.coeffs, z)
         out = _horner(self.coeffs, z)
         if np.ndim(z) == 0:
             return complex(out)
@@ -140,8 +177,15 @@ class Polynomial:
     def eval_round_error(self, radius: float) -> float:
         return _round_error(self.coeffs, radius)
 
+    def derivative_error(self, radius: float) -> float:
+        """Allowance for the error of the computed f' on |z| <= radius."""
+        return _derivative_round_error(self.coeffs, radius)
+
     def lipschitz_bound(self, radius: float) -> float:
         return _coeff_lipschitz(self.coeffs, radius)
+
+    def second_derivative_bound(self, radius: float) -> float:
+        return _coeff_curvature(self.coeffs, radius)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -238,8 +282,13 @@ class Series:
                 f"|z| >= validity radius {self.validity_radius}"
             )
 
-    def eval(self, z):
+    def eval(self, z, derivative: bool = False):
+        """Stored part of f at z; with ``derivative``, the pair (f(z), f'(z))
+        for an array z.  ``eval_error`` and ``derivative_error`` bound the
+        neglected tails."""
         self._check_domain(z)
+        if derivative:
+            return _horner_with_derivative(self.coeffs, z)
         out = _horner(self.coeffs, z)
         if np.ndim(z) == 0:
             return complex(out)
@@ -256,14 +305,35 @@ class Series:
     def eval_round_error(self, radius: float) -> float:
         return _round_error(self.coeffs, radius)
 
-    def lipschitz_bound(self, radius: float) -> float:
+    def _derivative_tail(self, radius: float) -> float:
+        """B * sum_{n>=m} n q^n r^(n-1), m = number stored: bounds the
+        neglected part of f' on |z| <= radius."""
         if radius >= self.validity_radius:
             raise DomainError("radius outside validity disk")
-        # derivative tail: B * sum_{n>=m} n q^n r^(n-1), m = number stored
         m = len(self.coeffs)
         s = self.tail_ratio * radius
-        tail = self.tail_bound * self.tail_ratio * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2
-        return _coeff_lipschitz(self.coeffs, radius) + tail
+        return self.tail_bound * self.tail_ratio * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2
+
+    def derivative_error(self, radius: float) -> float:
+        """Allowance for the error of the computed f' on |z| <= radius:
+        Horner rounding plus the neglected derivative tail."""
+        return _derivative_round_error(self.coeffs, radius) + self._derivative_tail(radius)
+
+    def lipschitz_bound(self, radius: float) -> float:
+        return _coeff_lipschitz(self.coeffs, radius) + self._derivative_tail(radius)
+
+    def second_derivative_bound(self, radius: float) -> float:
+        if radius >= self.validity_radius:
+            raise DomainError("radius outside validity disk")
+        # B * sum_{n>=m} n (n-1) q^n r^(n-2) = B q^2 (d/ds)^2 [s^m / (1 - s)]
+        m = len(self.coeffs)
+        s = self.tail_ratio * radius
+        tail = self.tail_bound * self.tail_ratio**2 * (
+            m * (m - 1) * s ** max(m - 2, 0) * (1 - s) ** 2
+            + 2 * m * s ** (m - 1) * (1 - s)
+            + 2 * s**m
+        ) / (1 - s) ** 3
+        return _coeff_curvature(self.coeffs, radius) + tail
 
     def to_dict(self) -> dict:
         return {
@@ -316,9 +386,12 @@ class CertifiedBound:
     ``lower_bound <= true min`` always holds.  ``status`` is CERTIFIED when
     the bound answers the threshold question it was computed for (either
     lower_bound > threshold, or a sampled point witnesses |f| <= threshold),
-    UNDECIDED when the budget ran out in between.  The reconstruction
-    inequality lower_bound <= min_sampled - lipschitz_bound * grid_step *
-    sqrt(2)/2 holds by construction (grid_step is the effective step).
+    UNDECIDED when it is still open: the budget ran out, or the arcs left
+    are as fine as rounding allows (an instance at the threshold).
+    ``min_sampled`` is the smallest sampled |f|, taken at ``witness_point``,
+    and never lies below ``lower_bound``.  ``grid_step`` is the effective
+    step: the reconstruction inequality lower_bound <= min_sampled -
+    lipschitz_bound * grid_step * sqrt(2)/2 holds by construction.
     """
 
     lower_bound: float
@@ -357,17 +430,31 @@ class CertifiedBound:
 # certified lower bound) that arc refinement aims for; the hard stop is
 # the grid_max budget
 _WIDTH_TARGET = 1e-3
+# Newton steps on |f|^2 along the circle from a circle's smallest sample
+_POLISH_STEPS = 3
 
 
 class _CircleScan:
     """1-D branch-and-bound for min |f| on circles |z| = r in an annulus.
 
-    A circle starts as 128 equal arcs, each scored by |f| at its centre
-    minus the evaluation allowance and the Lipschitz bound times its
-    covering radius r * half-width.  Arcs scored above max(threshold,
-    smallest sample - _WIDTH_TARGET) are retired and the rest halved, until
-    none remain, a sample witnesses |f| <= threshold, or all circles
-    together have spent grid_max evaluations.
+    A circle starts as 128 equal arcs.  Write g(t) = f(r e^{it}); on an arc
+    t_c +- h, Taylor's theorem with M = sup |g''| gives
+
+        |g| >= dist(0, g(t_c) + g'(t_c) [-h, h]) - M h^2 / 2,
+
+    with g' = i z f'(z) and M = r sum n|a_n| r^(n-1) + r^2 sum n(n-1)|a_n|
+    r^(n-2).  The floor of an arc is the larger of this second-order bound
+    and the first-order |g(t_c)| - lip r h, less the evaluation allowance
+    for g and h times that for g'.  f and f' come from one Horner pass.
+    Arcs floored above max(threshold, smallest sample - _WIDTH_TARGET) are
+    retired and the rest halved, until none remain, a sample witnesses
+    |f| <= threshold, or all circles together have spent grid_max
+    evaluations.  Halving stops once the g' allowance times h plus
+    M h^2 / 2 is within the evaluation allowance: no split can then lift a
+    floor by more than rounding noise, so the open arcs retire into the
+    bound and an instance at the threshold comes back UNDECIDED.  Without a
+    witness, a few Newton steps on |g|^2 from the circle's smallest sample
+    sharpen the samples; they never move the bound.
     """
 
     def __init__(self, f: HoloMap, ann: Annulus, threshold: float, grid_max: int):
@@ -381,30 +468,74 @@ class _CircleScan:
 
     def floor(self, r: float) -> float:
         """Lower bound for |f| on |z| = r, possibly negative."""
-        lip = self.f.lipschitz_bound(r)
-        t_edges = np.linspace(0.0, 2.0 * math.pi, 129)
-        t_lo, t_hi = t_edges[:-1], t_edges[1:]
-        retired = math.inf
+        f = self.f
+        lip = f.lipschitz_bound(r)
+        curv = r * lip + r * r * f.second_derivative_bound(r)  # sup |g''|
+        slope_err = r * f.derivative_error(r)  # allowance for the computed g'
+        n, arcs = 128, np.arange(128)  # arc k of n spans [k, k + 1] * 2 pi / n
+        retired, here = math.inf, (math.inf, 0.0)
         while True:
-            centers = r * np.exp(1j * (0.5 * (t_lo + t_hi)))
-            vals = np.abs(self.f.eval(centers))
-            self.evals += len(vals)
-            i = int(np.argmin(vals))
-            if vals[i] < self.best_val:
-                self.best_val, self.best_pt = float(vals[i]), complex(centers[i])
-            floors = vals - self.tail_err - lip * (0.5 * r * (t_hi - t_lo))
+            step = 2.0 * math.pi / n
+            h = 0.5 * step + 4.0 * _EPS  # the slack covers the rounded centres
+            theta = (arcs + 0.5) * step
+            z = r * np.exp(1j * theta)
+            val, der = f.eval(z, True)
+            mod = np.abs(val)
+            self.evals += len(mod)
+            i = int(np.argmin(mod))
+            if mod[i] < here[0]:
+                here = (float(mod[i]), float(theta[i]))
+                self._sample(here[0], complex(z[i]))
+            # distance from 0 to val + i x t, |t| <= h, x = z f'(z), in the
+            # frame turning i x onto the real axis; no modulus is squared,
+            # so |f| up to the float range is safe
+            x = z * der
+            speed = np.abs(x)
+            v = val * (np.conj(x) / np.maximum(speed, 1e-300))
+            dist = np.hypot(np.maximum(np.abs(v.imag) - speed * h, 0.0), v.real)
+            spread = slope_err * h + 0.5 * curv * h * h
+            floors = np.fmax(mod - (lip * r * h + self.tail_err),
+                             dist - (spread + self.tail_err))
             if self.violation:
                 return min(retired, float(floors.min()))
             keep = floors <= max(self.threshold, self.best_val - _WIDTH_TARGET)
             if not keep.all():
                 retired = min(retired, float(floors[~keep].min()))
             if not keep.any():
-                return retired
-            if self.evals >= self.grid_max:
-                return min(retired, float(floors[keep].min()))
-            t_lo, t_hi = t_lo[keep], t_hi[keep]
-            t_mid = 0.5 * (t_lo + t_hi)
-            t_lo, t_hi = np.concatenate([t_lo, t_mid]), np.concatenate([t_mid, t_hi])
+                break
+            if self.evals >= self.grid_max or spread <= self.tail_err:
+                retired = min(retired, float(floors[keep].min()))
+                break
+            arcs = 2 * arcs[keep]
+            arcs, n = np.concatenate([arcs, arcs + 1]), 2 * n
+        self._polish(r, here)
+        return retired
+
+    def _sample(self, val: float, z: complex) -> None:
+        if val < self.best_val:
+            self.best_val, self.best_pt = val, z
+
+    def _polish(self, r: float, start: tuple[float, float]) -> None:
+        """Newton steps on |g(t)|^2 from (|g(t0)|, t0), kept while they lower
+        the samples.  Each step is t -= Re(g'/g) / (|g'/g|^2 + Re(g''/g))."""
+        val, t = start
+        z = r * cmath.exp(1j * t)
+        f0, f1, f2 = _horner_scalar(self.f.coeffs, z)
+        for _ in range(_POLISH_STEPS):
+            if self.violation or f0 == 0:
+                return
+            a = 1j * z * f1 / f0
+            den = abs(a) ** 2 - (z * (f1 + z * f2) / f0).real
+            if not 0.0 < den < math.inf:
+                return
+            t -= a.real / den
+            z = r * cmath.exp(1j * t)
+            f0, f1, f2 = _horner_scalar(self.f.coeffs, z)
+            self.evals += 1
+            if not abs(f0) < val:
+                return
+            val = abs(f0)
+            self._sample(val, z)
 
 
 def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
@@ -446,10 +577,13 @@ def min_modulus_on_annulus(
     """Certified lower bound L for min |f| on the annulus (true min >= L).
 
     Monomials a z^d get the exact closed form |a| inner^d.  Other maps are
-    scanned on the boundary circles only (``_CircleScan``, ``_annulus_floor``).
-    A sample with |f| <= threshold is a violation witness; the result is
-    UNDECIDED when the sample budget runs out with the threshold question
-    still open.
+    scanned on the boundary circles only (``_CircleScan``, ``_annulus_floor``)
+    with a second-order bound per arc, so the evaluations needed grow only
+    logarithmically as min |f| approaches the threshold.  A sample with
+    |f| <= threshold is a violation witness; the result is UNDECIDED when
+    the threshold question is still open once the sample budget runs out
+    or the arcs near the minimum reach rounding resolution, which is what
+    an instance exactly at the threshold gets.
     """
     budget = budget or Budget()
     if isinstance(f, Series) and ann.outer >= f.validity_radius:
@@ -468,6 +602,7 @@ def min_modulus_on_annulus(
     lower = max(0.0, scan.floor(ann.inner))
     if ann.inner < ann.outer:
         lower = _annulus_floor(f, ann, scan, lower, budget)
+    lower = min(lower, scan.best_val)  # polished samples may undercut a floor by rounding
     width = scan.best_val - lower
     return CertifiedBound(
         lower, scan.best_pt,
@@ -517,9 +652,8 @@ def winding_number(
     lip = float(f.lipschitz_bound(radius))
 
     n = 256
+    phi = f.eval(radius * np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))) - target
     while True:
-        theta = np.arange(n) * (2.0 * math.pi / n)
-        phi = f.eval(radius * np.exp(1j * theta)) - target
         dist = np.abs(phi)
         min_dist = float(dist.min()) - tail_err
         u = phi / np.maximum(dist, 1e-300)  # raw products overflow past |f| ~ 1e154
@@ -534,6 +668,10 @@ def winding_number(
         )
         if ok or 2 * n > budget.winding_max:
             return WindingResult(wind, ok, n, min_dist)
+        # n is 256 * 2^j, so the even angles (2k) pi/n of the doubled grid
+        # round exactly to the old k (2 pi/n): only the odd ones are new
+        odd = f.eval(radius * np.exp(1j * (np.arange(1, 2 * n, 2) * (math.pi / n)))) - target
+        phi = np.stack([phi, odd], axis=1).ravel()
         n *= 2
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,33 @@ def random_poly(rng, max_degree=4, span=2.0):
 
 def random_instance(rng, **kw):
     return OperatorSpec(random_weights(rng), random_poly(rng, **kw))
+
+
+# maps whose min |f| over |z| >= r is reached on |z| = r, in closed form:
+# r (r - 0.1) for z^2 + 0.1 z and r^m - 1 for 1 + z^m; every root lies
+# inside the radius where min |f| = 1
+THRESHOLD_MAPS = {
+    "z2+0.1z": (0.0, 0.1, 1.0),
+    "1+z": (1.0, 1.0),
+    "1+z^2": (1.0, 0.0, 1.0),
+    "1+z^3": (1.0, 0.0, 0.0, 1.0),
+}
+
+
+def threshold_instance(name, geometry, min_modulus):
+    """f(B_w) whose annulus r2 <= |z| <= r1 has min |f| = min_modulus, on
+    its inner circle: a circle (constant weight r) or the annulus of the
+    doubling blocks (1.5 r, r)."""
+    coeffs = THRESHOLD_MAPS[name]
+    if name == "z2+0.1z":
+        r = (0.1 + math.sqrt(0.01 + 4.0 * min_modulus)) / 2.0
+    else:
+        r = (1.0 + min_modulus) ** (1.0 / (len(coeffs) - 1))
+    if geometry == "circle":
+        w = WeightSequence.constant(r)
+    else:
+        w = WeightSequence.doubling_blocks(1.5 * r, r)
+    return OperatorSpec(w, Polynomial(coeffs))
 
 
 def naive_window_product(w, k, n):

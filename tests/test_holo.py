@@ -12,6 +12,7 @@ from shiftspec.holo import (
     DomainError,
     Polynomial,
     Series,
+    WindingResult,
     covers_closed_unit_disk,
     holo_from_dict,
     identity_map,
@@ -94,6 +95,52 @@ def test_lipschitz_dominates_differences(rng):
         if abs(z + h) > r:
             continue
         assert abs(f.eval(complex(z + h)) - f.eval(complex(z))) <= lip * abs(h) * 1.0001
+
+
+def random_series(rng, stored, q):
+    """A stored part of length ``stored`` and a longer reference series
+    whose extra coefficients obey the tail bound |a_n| <= q^n."""
+    phases = np.exp(2j * math.pi * rng.uniform(size=stored + 40))
+    full = tuple(rng.uniform(0.2, 1.0) * q**n * p for n, p in enumerate(phases))
+    return Series(full[:stored], 1.0, q, 1 / q), Series(full, 1.0, q, 1 / q)
+
+
+def test_second_derivative_bound_series_tail_closed_form():
+    q, r = 0.4, 2.0
+    for m in (1, 2, 3, 7):
+        s = Series((0j,) * m, 1.0, q, 1 / q)
+        brute = sum(n * (n - 1) * q**n * r ** (n - 2) for n in range(m, 400))
+        assert s.second_derivative_bound(r) == pytest.approx(brute, rel=1e-12)
+        brute = sum(n * q**n * r ** (n - 1) for n in range(m, 400))
+        assert s.derivative_error(r) == pytest.approx(brute, rel=1e-12)
+
+
+def test_second_derivative_bound_dominates_second_differences(rng):
+    # g(t) = f(r e^{it}) has |g(t + d) - 2 g(t) + g(t - d)| <= d^2 sup |g''|,
+    # and sup |g''| <= r lip + r^2 second_derivative_bound
+    d = 1e-3
+    for k in range(40):
+        if k % 2:
+            f = random_poly(rng)
+            f_true, r = f, rng.uniform(0.5, 2.5)
+        else:
+            q = rng.uniform(0.2, 0.6)
+            f, f_true = random_series(rng, int(rng.integers(1, 6)), q)
+            r = 0.9 / q * rng.uniform(0.3, 1.0)
+        curv = r * f.lipschitz_bound(r) + r * r * f.second_derivative_bound(r)
+        t = 2 * math.pi * rng.uniform(size=64)
+        g = [f_true.eval(r * np.exp(1j * (t + s * d))) for s in (-1, 0, 1)]
+        second = np.abs(g[2] - 2 * g[1] + g[0])
+        assert second.max() <= curv * d * d * 1.0001 + 1e-12
+
+
+def test_eval_with_derivative_matches(rng):
+    for _ in range(10):
+        f = random_poly(rng, max_degree=6)
+        zs = rng.normal(size=16) + 1j * rng.normal(size=16)
+        val, der = f.eval(zs, True)
+        assert np.array_equal(val, f.eval(zs))
+        assert np.allclose(der, f.derivative().eval(zs), rtol=1e-12, atol=1e-12)
 
 
 # -- min modulus --------------------------------------------------------
@@ -196,6 +243,57 @@ def test_winding_counts_roots(rng):
 def test_winding_invalid_when_curve_hits_target():
     wr = winding_number(P(1, 0, 1), 1.0, 0j)  # roots +-i on the circle
     assert not wr.valid
+
+
+def winding_reference(f, radius, target, budget=Budget()):
+    """The sampling loop before sample reuse: every doubling evaluates all
+    n angles again."""
+    tail_err = f.eval_error(radius) + f.eval_round_error(radius)
+    lip = float(f.lipschitz_bound(radius))
+    n = 256
+    while True:
+        theta = np.arange(n) * (2.0 * math.pi / n)
+        phi = f.eval(radius * np.exp(1j * theta)) - target
+        dist = np.abs(phi)
+        min_dist = float(dist.min()) - tail_err
+        u = phi / np.maximum(dist, 1e-300)
+        increments = np.angle(np.roll(u, -1) * np.conj(u))
+        total = float(increments.sum()) / (2.0 * math.pi)
+        wind = int(round(total))
+        arc = radius * 2.0 * math.pi / n
+        ok = (
+            min_dist > lip * arc
+            and float(np.abs(increments).max()) < 0.5 * math.pi
+            and abs(total - wind) < 0.25
+        )
+        if ok or 2 * n > budget.winding_max:
+            return WindingResult(wind, ok, n, min_dist)
+        n *= 2
+
+
+def test_winding_reuses_samples(monkeypatch, rng):
+    points = []
+    plain_eval = Polynomial.eval
+
+    def counting(self, z, derivative=False):
+        points.append(np.size(z))
+        return plain_eval(self, z, derivative)
+
+    # a root 0.005 outside the unit circle needs n >= 2 pi / 0.005: 2048
+    # samples, three doublings
+    f = P(-1.005, 1)
+    expected = winding_reference(f, 1.0, 0j)
+    assert expected.samples == 2048 and expected.valid
+    monkeypatch.setattr(Polynomial, "eval", counting)
+    assert winding_number(f, 1.0, 0j) == expected
+    assert points == [256, 256, 512, 1024]
+
+    monkeypatch.setattr(Polynomial, "eval", plain_eval)
+    for _ in range(60):
+        f = random_poly(rng, max_degree=6)
+        r, target = rng.uniform(0.3, 2.5), complex(*rng.normal(size=2)) * 0.3
+        budget = Budget(winding_max=2**13)
+        assert winding_number(f, r, target, budget) == winding_reference(f, r, target, budget)
 
 
 # -- coverage ------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import shiftspec.holo
 import shiftspec.jclass
-from conftest import random_instance
+from conftest import THRESHOLD_MAPS, random_instance, threshold_instance
 from shiftspec.budget import Budget
 from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map
 from shiftspec.jclass import (
@@ -184,6 +185,41 @@ def test_moduli_undecided_near_threshold():
 def test_near_exact_threshold_undecided(m):
     c = 2.0 ** (1.0 / m)
     assert decide_geometric(const_op(c, one_plus_zm(m))).decision == VERDICT_UNDECIDED
+
+
+def record_scans(monkeypatch) -> list:
+    """Record every circle scan, to read its evaluation count."""
+    scans = []
+
+    class Recording(shiftspec.holo._CircleScan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            scans.append(self)
+
+    monkeypatch.setattr(shiftspec.holo, "_CircleScan", Recording)
+    return scans
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("geometry", ["circle", "annulus"])
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_threshold_decided_within_scan_budget(monkeypatch, name, geometry, side):
+    # min |f| = 1 +- 1e-9 on the annulus: the second-order arc floor keeps
+    # only a few arcs per halving near the minimum
+    scans = record_scans(monkeypatch)
+    v = decide_geometric(threshold_instance(name, geometry, 1.0 + side * 1e-9))
+    assert v.decision == (JCLASS if side > 0 else NOT_JCLASS)
+    assert sum(scan.evals for scan in scans) <= 1024
+
+
+@pytest.mark.parametrize("m, c", [(1, 2.0), (2, 2.0 ** 0.5), (3, 2.0 ** (1 / 3)), (2, math.sqrt(2))])
+def test_exact_threshold_abstains_within_scan_budget(monkeypatch, m, c):
+    # min |f| = 1 exactly: the halving stops at rounding resolution
+    scans = record_scans(monkeypatch)
+    v = decide_geometric(const_op(c, one_plus_zm(m)))
+    assert v.decision == VERDICT_UNDECIDED
+    assert v.condition_a.lower_bound <= 1.0 < v.condition_a.min_sampled + 1e-12
+    assert sum(scan.evals for scan in scans) <= 1024
 
 
 # -- cross checking ----------------------------------------------------------

@@ -19,8 +19,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import random_instance, threshold_instance
+from shiftspec.budget import Budget
+from shiftspec.holo import CERTIFIED, Annulus, Polynomial, min_modulus_on_annulus
 from shiftspec.spectra import i_of_adjoint
 from shiftspec.weights import TwoValueDoublingBlocks
 
@@ -40,7 +44,22 @@ def _doubling_block_instances(n: int, seed: int = 7) -> list:
     return ops
 
 
-INSTANCES = _doubling_block_instances(N_INSTANCES)
+# (map, geometry, min |f| - 1): each map once on each side of the
+# threshold, every geometry, clearance and side combination once
+THRESHOLD_CASES = [
+    ("z2+0.1z", "circle", 1e-8),
+    ("z2+0.1z", "annulus", -1e-9),
+    ("1+z", "annulus", 1e-9),
+    ("1+z", "circle", -1e-8),
+    ("1+z^2", "circle", 1e-9),
+    ("1+z^2", "annulus", -1e-8),
+    ("1+z^3", "annulus", 1e-8),
+    ("1+z^3", "circle", -1e-9),
+]
+INSTANCES = _doubling_block_instances(N_INSTANCES) + [
+    threshold_instance(name, geometry, 1.0 + c) for name, geometry, c in THRESHOLD_CASES]
+IDS = [f"blocks{i}" for i in range(N_INSTANCES)] + [
+    f"{name}-{geometry}{c:+.0e}" for name, geometry, c in THRESHOLD_CASES]
 
 
 def _horner(coeffs, z):
@@ -121,7 +140,7 @@ def proves_violation(coeffs, inner: float, outer: float, w: complex) -> bool:
     return abs(_horner(a, z)).b <= (1 + lip * off).a
 
 
-@pytest.mark.parametrize("op", INSTANCES, ids=[f"blocks{i}" for i in range(N_INSTANCES)])
+@pytest.mark.parametrize("op", INSTANCES, ids=IDS)
 def test_condition_a_certificate_holds(op):
     prof = op.profile()
     cert = i_of_adjoint(op)
@@ -132,9 +151,45 @@ def test_condition_a_certificate_holds(op):
         assert proves_violation(coeffs, prof.r2, prof.r1, cert.witness_point)
 
 
+@pytest.mark.parametrize("case", THRESHOLD_CASES, ids=IDS[N_INSTANCES:])
+def test_threshold_inputs_are_decided(case):
+    # the threshold inputs above check a certificate, not a vacuous pass
+    name, geometry, c = case
+    cert = i_of_adjoint(threshold_instance(name, geometry, 1.0 + c))
+    assert cert.certifies_above if c > 0 else cert.certifies_violation
+
+
 def test_oracle_refutes_a_wrong_floor():
     # |3z - 4.5| vanishes at 1.5, inside 1 <= |z| <= 2
     assert not proves_floor((-4.5 + 0j, 3 + 0j), 1.0, 2.0, 0.5)
     assert proves_floor((-4.5 + 0j, 3 + 0j), 1.0, 1.2, 0.5)
     assert not proves_violation((-4.5 + 0j, 3 + 0j), 1.0, 2.0, 1.0 + 0j)
     assert proves_violation((-4.5 + 0j, 3 + 0j), 1.0, 2.0, 1.5 + 0j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=2, max_size=5),
+    inner=st.floats(0.2, 2.5),
+    ratio=st.sampled_from([1.0, 1.0, 1.3, 1.6]),
+)
+def test_min_modulus_bound_below_dense_samples(coeffs, inner, ratio):
+    # degree 1-4 on a circle (ratio 1) or an annulus: the bound sits below
+    # |f| on a dense polar grid, and a larger gridMax keeps any CERTIFIED
+    # answer a smaller one gave
+    f = Polynomial(tuple(complex(a, b) for a, b in coeffs))
+    assume(f.degree >= 1)
+    ann = Annulus(inner, inner * ratio)
+    radii = np.linspace(ann.inner, ann.outer, 1 if ratio == 1.0 else 17)
+    z = radii[:, None] * np.exp(2j * math.pi * np.arange(4096) / 4096)
+    dense = float(np.abs(f.eval(z)).min())
+    answers = []
+    for grid_max in (64, 1024, Budget().grid_max):
+        cert = min_modulus_on_annulus(f, ann, Budget(grid_max=grid_max))
+        assert cert.lower_bound <= dense + f.eval_round_error(ann.outer)
+        assert cert.lower_bound <= cert.min_sampled
+        if cert.status == CERTIFIED:
+            answers.append(cert.certifies_above)
+        else:
+            assert not answers, "a larger gridMax lost a certified answer"
+    assert len(set(answers)) <= 1
