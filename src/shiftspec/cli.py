@@ -186,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("path", help="instance JSON file")
-        p.add_argument("--budget-grid", type=int, default=None, help="max condition-A samples")
+        p.add_argument("--budget-grid", type=int, default=None, help="condition-A evaluations, "
+                       "checked after each halving pass (each circle scans 128 arcs first)")
         p.add_argument("--budget-winding", type=int, default=None, help="max contour samples")
         p.add_argument("--trunc-n", type=int, default=None, help="truncation length")
         p.add_argument("--tol", type=float, default=None, help="residual tolerance")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import Budget
-from .holo import Polynomial
+from .holo import Polynomial, _horner_scalar
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
 from .weights import WeightSequence, spectral_profile, window_products
@@ -163,14 +163,19 @@ def apply_operator(op: OperatorSpec, x: TruncatedVector, n: int = 1) -> Truncate
     """
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("vector application needs a polynomial map")
-    f = op.map
+    f, size = op.map, x.size
+    # each power's window products, once per call (the size never changes)
+    terms = [(a, j, window_products(op.weights, j, size - j) if j else None)
+             for j, a in enumerate(f.coeffs) if a != 0] if n else []
     out = x
     for _ in range(n):
-        acc = np.zeros(out.size, dtype=complex)
-        for j, a in enumerate(f.coeffs):
-            if a == 0:
-                continue
-            acc += a * shift_power(op.weights, out, j).coords
+        acc = np.zeros(size, dtype=complex)
+        for a, j, prods in terms:
+            shifted = out.coords
+            if j:
+                shifted = np.zeros(size, dtype=complex)
+                shifted[: size - j] = prods * out.coords[j:]
+            acc += a * shifted
         out = TruncatedVector(acc, max(0, out.exact_prefix - f.degree))
     if out.exact_prefix == 0 and x.exact_prefix > 0:
         warnings.warn("operator application exhausted the exact prefix", stacklevel=2)
@@ -268,9 +273,7 @@ def _root_radius(f: Polynomial, z: complex) -> float:
     """Radius about z that holds a root of f.  With |f(z)| <= res (Horner's
     rounding allowance included), the product form gives (res / |a_d|)^(1/d)
     and f'/f = sum 1/(z - root) gives d res / |f'(z)|."""
-    fz = dfz = 0j
-    for a in reversed(f.coeffs):
-        fz, dfz = fz * z + a, dfz * z + fz
+    fz, dfz, _ = _horner_scalar(f.coeffs, z)
     res = abs(fz) + f.eval_round_error(abs(z))
     rho = (res / abs(f.coeffs[-1])) ** (1.0 / f.degree)
     return min(rho, f.degree * res / abs(dfz)) if dfz else rho

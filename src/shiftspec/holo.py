@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -392,6 +392,8 @@ class CertifiedBound:
     and never lies below ``lower_bound``.  ``grid_step`` is the effective
     step: the reconstruction inequality lower_bound <= min_sampled -
     lipschitz_bound * grid_step * sqrt(2)/2 holds by construction.
+    ``inner_winding`` keeps (radius, winding about 0) of a true annulus's
+    inner circle for condition B; it is no part of the value or the JSON.
     """
 
     lower_bound: float
@@ -401,6 +403,7 @@ class CertifiedBound:
     status: str
     min_sampled: float
     threshold: float = 1.0
+    inner_winding: tuple[float, WindingResult] | None = field(default=None, compare=False)
 
     @property
     def width(self) -> float:
@@ -427,8 +430,8 @@ class CertifiedBound:
 
 
 # certification width (gap between the smallest sampled value and the
-# certified lower bound) that arc refinement aims for; the hard stop is
-# the grid_max budget
+# certified lower bound) that arc refinement aims for; the grid_max budget
+# also stops it, checked after each halving pass (see _CircleScan)
 _WIDTH_TARGET = 1e-3
 # Newton steps on |f|^2 along the circle from a circle's smallest sample
 _POLISH_STEPS = 3
@@ -449,12 +452,15 @@ class _CircleScan:
     Arcs floored above max(threshold, smallest sample - _WIDTH_TARGET) are
     retired and the rest halved, until none remain, a sample witnesses
     |f| <= threshold, or all circles together have spent grid_max
-    evaluations.  Halving stops once the g' allowance times h plus
-    M h^2 / 2 is within the evaluation allowance: no split can then lift a
-    floor by more than rounding noise, so the open arcs retire into the
-    bound and an instance at the threshold comes back UNDECIDED.  Without a
-    witness, a few Newton steps on |g|^2 from the circle's smallest sample
-    sharpen the samples; they never move the bound.
+    evaluations, a budget checked after each halving pass: every circle
+    scans its first 128 arcs, ends its pass and takes its Newton steps
+    (below), so 1 + z^2 at its exact threshold spends 131 evaluations on a
+    circle and 262 on an annulus at grid_max 64.  Halving stops once the g'
+    allowance times h plus M h^2 / 2 is within the evaluation allowance: no
+    split can then lift a floor by more than rounding noise, so the open
+    arcs retire into the bound and an instance at the threshold comes back
+    UNDECIDED.  Without a witness, a few Newton steps on |g|^2 from the
+    circle's smallest sample sharpen the samples; they never move the bound.
     """
 
     def __init__(self, f: HoloMap, ann: Annulus, threshold: float, grid_max: int):
@@ -539,8 +545,9 @@ class _CircleScan:
 
 
 def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
-                   budget: Budget) -> float:
-    """Lower bound for min |f| on inner < outer, given the inner circle's.
+                   budget: Budget) -> tuple[float, tuple[float, WindingResult] | None]:
+    """Lower bound for min |f| on inner < outer, given the inner circle's,
+    and (inner radius, winding about 0 there) if that winding was taken.
 
     If f has no zero in the annulus, which holds exactly when the windings
     about 0 on both circles are valid and equal (argument principle), the
@@ -551,11 +558,11 @@ def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
     """
     outer = math.inf if scan.violation else scan.floor(ann.outer)
     if scan.violation:
-        return 0.0
+        return 0.0, None
     w_lo, w_hi = (winding_number(f, r, 0j, budget) for r in (ann.inner, ann.outer))
     valid = w_lo.valid and w_hi.valid
     if valid and w_lo.winding == w_hi.winding:
-        return max(0.0, min(inner, outer))
+        return max(0.0, min(inner, outer)), (ann.inner, w_lo)
     lo, hi = ann.inner, ann.outer
     while valid and scan.evals < scan.grid_max:
         mid = 0.5 * (lo + hi)
@@ -565,7 +572,7 @@ def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
         w_mid = winding_number(f, mid, 0j, budget)
         valid = w_mid.valid
         lo, hi = (mid, hi) if w_mid.winding == w_lo.winding else (lo, mid)
-    return 0.0
+    return 0.0, (ann.inner, w_lo)
 
 
 def min_modulus_on_annulus(
@@ -599,9 +606,9 @@ def min_modulus_on_annulus(
 
     lip_outer = f.lipschitz_bound(ann.outer)
     scan = _CircleScan(f, ann, threshold, budget.grid_max)
-    lower = max(0.0, scan.floor(ann.inner))
+    lower, inner_winding = max(0.0, scan.floor(ann.inner)), None
     if ann.inner < ann.outer:
-        lower = _annulus_floor(f, ann, scan, lower, budget)
+        lower, inner_winding = _annulus_floor(f, ann, scan, lower, budget)
     lower = min(lower, scan.best_val)  # polished samples may undercut a floor by rounding
     width = scan.best_val - lower
     return CertifiedBound(
@@ -609,7 +616,7 @@ def min_modulus_on_annulus(
         grid_step=width * math.sqrt(2.0) / lip_outer if lip_outer > 0 and width > 0 else 0.0,
         lipschitz_bound=lip_outer,
         status=CERTIFIED if scan.violation or lower > threshold else UNDECIDED,
-        min_sampled=scan.best_val, threshold=threshold)
+        min_sampled=scan.best_val, threshold=threshold, inner_winding=inner_winding)
 
 
 @dataclass(frozen=True)
@@ -675,6 +682,13 @@ def winding_number(
         n *= 2
 
 
+def _origin_winding(f: HoloMap, r2: float, cert: CertifiedBound,
+                    budget: Budget | None) -> WindingResult:
+    """Winding of f about 0 on |z| = r2, or condition A's if it took that one."""
+    radius, wr = cert.inner_winding or (None, None)
+    return wr if radius == r2 else winding_number(f, r2, 0j, budget)
+
+
 @dataclass(frozen=True)
 class CoverageResult:
     """Whether f(open disk of the given radius) covers the closed unit disk."""
@@ -715,7 +729,7 @@ def covers_closed_unit_disk(
         d = mono[1]
         wr = WindingResult(d, True, 0, abs(mono[0]) * r2**d)
         return CoverageResult(d >= 1, CERTIFIED, wr)
-    wr = winding_number(f, r2, 0j, budget)
+    wr = _origin_winding(f, r2, annulus_cert, budget)
     if not wr.valid:
         return CoverageResult(None, UNDECIDED, wr)
     return CoverageResult(wr.winding >= 1, CERTIFIED, wr)

@@ -36,8 +36,8 @@ from .holo import (
     HoloMap,
     Polynomial,
     Series,
+    _origin_winding,
     covers_closed_unit_disk,
-    winding_number,
 )
 from .spectra import (
     KERNEL_FALSE,
@@ -161,7 +161,7 @@ def _geometric(
     # Condition A is open, but a valid winding 0 about the origin alone
     # already refutes coverage: the origin then has no preimage in the
     # inner disk, and it lies in the closed unit disk.
-    wr = winding_number(op.map, prof.r2, 0j, budget)
+    wr = _origin_winding(op.map, prof.r2, cert_a, budget)
     if wr.valid and wr.winding == 0:
         return verdict(NOT_JCLASS, condition_b=CoverageResult(False, CERTIFIED, wr),
                        notes="coverage refuted while the annulus bound stayed open")

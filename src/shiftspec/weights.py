@@ -9,18 +9,17 @@ associated shift operators available in closed form:
   r2 = lim_n inf_k (w_k ... w_{k+n-1})^{1/n}   (inner radius)
   r3 = liminf_n (w_1 ... w_n)^{1/n}            (leading-window radius)
 
-Window products for the dynamics come from ``window_products``: direct
-float products, exact for power-of-two weights, that overflow only where
-the product of a window itself leaves float range.  The asymptotic
-quantities (kappa, profile estimates) need windows of thousands of weights
-and are accumulated in log space instead.  Values are immutable after construction and every
-operation here is a pure function.
+Window products come from one doubling reduction, ``_windows``:
+``window_products`` multiplies the weights (exact for power-of-two weights,
+overflowing only where a window's product leaves float range) and
+``log_window_products`` adds their logs, for kappa's windows of thousands
+of weights; ``estimate_profile`` grows its log window sums one weight at a
+time.  Nothing is cached, values are immutable and every function is pure.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -33,7 +32,7 @@ __all__ = [
     "SpectralProfile",
     "window_product",
     "window_products",
-    "log_window_product",
+    "log_window_products",
     "spectral_profile",
     "estimate_profile",
     "kappa_forward_power",
@@ -198,62 +197,42 @@ class WeightSequence:
         return cls(tuple(d.get("prefix", ())), _tail_from_dict(d["tail"]))
 
 
-def window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
-    """w_k ... w_{k+n-1} for k = 1..count as direct float products.
-
-    Built by doubling: the length-2^(i+1) windows are products of two
-    shifted copies of the length-2^i windows, and the set bits of n pick
-    which lengths make up each window.  O(count log n) multiplications and
-    no division; every intermediate is the product of a sub-window, so
-    nothing overflows unless a window of at most n weights does.
-    """
+def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc) -> np.ndarray:
+    """op-reductions of the windows a[k : k + n], k = 0..count-1, by doubling:
+    the length-2^(i+1) windows combine two shifted copies of the length-2^i
+    ones, and the set bits of n pick the lengths that make up each window.
+    Every intermediate reduces a sub-window, so with np.multiply nothing
+    overflows unless a window of at most n values does."""
     if n < 0:
         raise ValueError("window length must be >= 0")
-    out = np.ones(count)
-    block = w.values_array(count + n - 1)  # windows of length 1
+    out = np.full(count, float(op.identity))
     done, length = 0, 1
     while True:
         if n & length:
-            out *= block[done : done + count]
+            op(out, a[done : done + count], out=out)
             done += length
         if 2 * length > n:
             return out
-        block = block[:-length] * block[length:]
+        a = op(a[:-length], a[length:])
         length *= 2
 
 
-# log space: kappa and profile estimates take windows of thousands of
-# weights, whose direct products leave float range
-@lru_cache(maxsize=128)
-def _cumlogs_pow2(w: WeightSequence, n_pow2: int) -> np.ndarray:
-    # entry i holds log(w_1 ... w_i); entry 0 is 0; treat as read-only
-    out = np.empty(n_pow2 + 1)
-    out[0] = 0.0
-    np.cumsum(np.log(w.values_array(n_pow2)), out=out[1:])
-    return out
+def window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
+    """w_k ... w_{k+n-1} for k = 1..count as direct float products."""
+    return _windows(w.values_array(count + n - 1), n, count, np.multiply)
 
 
-def _cumlogs(w: WeightSequence, n: int) -> np.ndarray:
-    size = 1 << max(6, int(n - 1).bit_length())
-    return _cumlogs_pow2(w, size)
-
-
-def log_window_product(w: WeightSequence, k: int, n: int) -> float:
-    """log(w_k * ... * w_{k+n-1}) for k, n >= 1."""
-    if k < 1 or n < 1:
-        raise ValueError("window indices must be >= 1")
-    cs = _cumlogs(w, k + n - 1)
-    return float(cs[k + n - 1] - cs[k - 1])
+def log_window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
+    """log(w_k ... w_{k+n-1}) for k = 1..count; finite for any n."""
+    return _windows(np.log(w.values_array(count + n - 1)), n, count, np.add)
 
 
 def window_product(w: WeightSequence, k: int, n: int) -> float:
-    return math.exp(log_window_product(w, k, n))
-
-
-def _log_windows(w: WeightSequence, n: int, k_max: int) -> np.ndarray:
-    """log window products of length n for k = 1..k_max, vectorized."""
-    cs = _cumlogs(w, k_max + n)
-    return cs[n : n + k_max] - cs[:k_max]
+    """w_k ... w_{k+n-1} for k, n >= 1, taken in log space."""
+    if k < 1 or n < 1:
+        raise ValueError("window indices must be >= 1")
+    logs = np.log(w.values_array(k + n - 1)[k - 1 :])
+    return math.exp(float(_windows(logs, n, 1, np.add)[0]))
 
 
 def log_kappa_forward_power(w: WeightSequence, n: int) -> float:
@@ -280,7 +259,7 @@ def log_kappa_forward_power(w: WeightSequence, n: int) -> float:
         tail_inf = n * math.log(min(t.a, t.b))
     best = tail_inf
     if scan_to >= 1:
-        best = min(best, float(_log_windows(w, n, scan_to).min()))
+        best = min(best, float(log_window_products(w, n, scan_to).min()))
     return best
 
 
@@ -361,18 +340,20 @@ def estimate_profile(
     reported; a spread above the caller's tolerance signals non-convergence
     at this budget.
     """
+    logs = np.log(w.values_array(max(k_max + n_max - 1, run_len)))
     log_r1 = math.inf
     log_r2 = -math.inf
     log_r1_half = log_r2_half = None
+    sums = np.zeros(k_max)  # log windows of length n, one weight added per n
     for n in range(1, n_max + 1):
-        means = _log_windows(w, n, k_max) / n
+        sums += logs[n - 1 : n - 1 + k_max]
+        means = sums / n
         log_r1 = min(log_r1, float(means.max()))
         log_r2 = max(log_r2, float(means.min()))
         if n == n_max // 2:
             log_r1_half, log_r2_half = log_r1, log_r2
 
-    cs = _cumlogs(w, run_len)
-    running = cs[1 : run_len + 1] / np.arange(1, run_len + 1)
+    running = np.cumsum(logs[:run_len]) / np.arange(1, run_len + 1)
     log_r3 = float(running[run_len // 8 :].min())
     log_r3_half = float(running[run_len // 16 : run_len // 2].min())
 

@@ -97,6 +97,29 @@ def test_shift_power_matches_window_products(rng):
             assert y.coords[k] == pytest.approx(prod * x.coords[k + n], rel=1e-12)
 
 
+def test_apply_operator_matches_shift_power_sums(rng):
+    # reference: each application sums a_j shift_power(w, x, j) afresh;
+    # apply_operator must give the same bytes, signed zeros included
+    for _ in range(40):
+        w = random_weights(rng)
+        coeffs = [complex(*rng.normal(size=2)) if rng.random() < 0.7 else -0j
+                  for _ in range(int(rng.integers(0, 5)))]
+        op = OperatorSpec(w, P(*coeffs, 1))
+        size, n = int(rng.integers(24, 64)), int(rng.integers(0, 5))
+        coords = rng.normal(size=size) + 1j * rng.normal(size=size)
+        coords[rng.random(size) < 0.2] = -0.0
+        want = x = TruncatedVector(coords, size)
+        for _ in range(n):
+            acc = np.zeros(size, dtype=complex)
+            for j, a in enumerate(op.map.coeffs):
+                if a != 0:
+                    acc += a * shift_power(w, want, j).coords
+            want = TruncatedVector(acc, want.exact_prefix - op.map.degree)
+        got = apply_operator(op, x, n)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.exact_prefix == want.exact_prefix
+
+
 # -- preimages ----------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import shiftspec.holo
 import shiftspec.jclass
 from conftest import THRESHOLD_MAPS, random_instance, threshold_instance
 from shiftspec.budget import Budget
-from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map
+from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map, winding_number
 from shiftspec.jclass import (
     JCLASS,
     NOT_JCLASS,
@@ -21,7 +21,7 @@ from shiftspec.jclass import (
     product_preserves_jclass,
 )
 from shiftspec.spectra import OperatorSpec, UnsupportedMapError, i_of_adjoint
-from shiftspec.weights import WeightSequence
+from shiftspec.weights import WeightSequence, spectral_profile
 
 
 def P(*coeffs):
@@ -270,6 +270,29 @@ def test_cross_check_rejects_series_after_geometric_route(monkeypatch):
     with pytest.raises(UnsupportedMapError):
         cross_check(op)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("min_modulus, decision", [(1.0 + 1e-6, JCLASS), (1.0, VERDICT_UNDECIDED)])
+def test_condition_b_reuses_inner_winding(monkeypatch, min_modulus, decision):
+    # condition A on a true annulus takes the winding about 0 on |z| = r2;
+    # condition B (coverage, or its refutation while A is open) reads it
+    # instead of sampling the same circle again
+    op = threshold_instance("1+z^2", "annulus", min_modulus)
+    prof = spectral_profile(op.weights)
+    radii = []
+
+    def counting(f, radius, target, budget=None):
+        radii.append(radius)
+        return winding_number(f, radius, target, budget)
+
+    monkeypatch.setattr(shiftspec.holo, "winding_number", counting)
+    # also counted if jclass ever calls it directly again
+    monkeypatch.setattr(shiftspec.jclass, "winding_number", counting, raising=False)
+    v = decide_geometric(op)
+    assert v.decision == decision
+    assert radii == [prof.r2, prof.r1]
+    if decision == JCLASS:
+        assert v.condition_b.winding == winding_number(op.map, prof.r2, 0j)
 
 
 def test_route_dispatcher():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from shiftspec.weights import (
     estimate_profile,
     kappa_forward_power,
     log_kappa_forward_power,
+    log_window_products,
     spectral_profile,
     window_product,
     window_products,
@@ -88,6 +90,23 @@ def test_window_products_against_naive_oracle(rng):
             got = window_products(w, n, 40)
             want = [naive_window_product(w, k, n) for k in range(1, 41)]
             assert got == pytest.approx(want, rel=1e-12)
+        # log space, far out and over windows whose direct products overflow
+        for n in (1, 5, 64, 999, 2000):
+            got = log_window_products(w, n, 3000)
+            for k in (1, 2, 7, 1024, 2999, 3000):
+                want = math.fsum(math.log(w.value(i)) for i in range(k, k + n))
+                assert got[k - 1] == pytest.approx(want, rel=1e-14, abs=1e-15 * n)
+
+
+def test_window_product_keeps_no_cache():
+    w = WeightSequence.periodic([4.0, 1.0], prefix=[3.0])
+    tracemalloc.start()
+    try:
+        assert window_product(w, 2**20, 3) == pytest.approx(16.0, rel=1e-14)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 def test_window_product_no_overflow_for_long_windows():
@@ -111,6 +130,16 @@ def test_spectral_profile_periodic_geomean():
     # numeric sweep confirms the closed form
     est = estimate_profile(WeightSequence.periodic([4.0, 1.0]), n_max=64)
     assert est.r2 == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("w, r2", [
+    (WeightSequence.periodic([4.0, 1.0]), 2.0),
+    (WeightSequence.constant(1.3, prefix=[2.0]), 1.3),
+])
+def test_estimate_profile_r2_to_rounding(w, r2):
+    # window sums are taken afresh for every start, not as differences of
+    # one cumulative sum, so no digits are lost far from the first weight
+    assert abs(estimate_profile(w).r2 - r2) <= 1e-14 * r2
 
 
 def test_spectral_profile_blocks():
