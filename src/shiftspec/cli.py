@@ -10,12 +10,14 @@ Subcommands:
 Instance files are JSON: {"weights": ..., "map": ..., "budgets": ...} with
 budgets optional (defaults: gridMax 2^18, windingMax 2^20, truncationN 256,
 tol 1e-9).  Exit codes: 0 JCLASS, 1 NOT_JCLASS, 2 UNDECIDED for decide;
-64 parse error, 65 unsupported or refused input, 70 simulation failure.
+64 usage or parse error, 65 unsupported or refused input (a budget or tolerance
+included), 70 simulation failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -87,12 +89,9 @@ def _emit(obj: dict) -> None:
 
 
 def _override_budget(budget: Budget, args) -> Budget:
-    return Budget(
-        grid_max=args.budget_grid or budget.grid_max,
-        winding_max=args.budget_winding or budget.winding_max,
-        truncation_n=args.trunc_n or budget.truncation_n,
-        tol=args.tol or budget.tol,
-    )
+    # budget flags store under Budget's field names; every value given is validated
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(Budget)}
+    return dataclasses.replace(budget, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_analyze(args) -> int:
@@ -115,6 +114,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.jset_start and (args.out or args.orbit_csv):
+        raise ParseFailure("--jset-start writes no --out or --orbit-csv file")
     op, budget = load_instance(args.path)
     budget = _override_budget(budget, args)
     n = budget.truncation_n
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
         _emit(rep.to_dict())
         return 0 if rep.status != "INCONCLUSIVE" else EXIT_SIM_FAILED
 
-    wit = mixing_witness(op, target, args.stages, tol=budget.tol, budget=budget, verdict=verdict)
+    wit = mixing_witness(op, target, args.stages, budget=budget, verdict=verdict)
     _emit(wit.to_dict())
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -177,32 +178,42 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is the UNDECIDED code here."""
+
+    def exit(self, status=0, message=None):
+        super().exit(EXIT_PARSE if status == 2 else status, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftspec",
         description="certified J-class decisions for holomorphic images of weighted backward shifts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = (
+        ("--budget-grid", "grid_max", int, "condition-A evaluations, checked after each "
+         "halving pass (each circle scans 128 arcs first)"),
+        ("--budget-winding", "winding_max", int, "max contour samples; the first grid "
+         "has at most 256"),
+    )
+    solve = (("--trunc-n", "truncation_n", int, "truncation length"),
+             ("--tol", "tol", float, "solve residual tolerance"))
 
-    def common(p):
+    def command(name, fn, summary, flags=()):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("path", help="instance JSON file")
-        p.add_argument("--budget-grid", type=int, default=None, help="condition-A evaluations, "
-                       "checked after each halving pass (each circle scans 128 arcs first)")
-        p.add_argument("--budget-winding", type=int, default=None, help="max contour samples")
-        p.add_argument("--trunc-n", type=int, default=None, help="truncation length")
-        p.add_argument("--tol", type=float, default=None, help="residual tolerance")
+        for flag, field, kind, text in flags:
+            p.add_argument(flag, dest=field, type=kind, help=text)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("analyze", help="spectral profile and picture")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    command("analyze", cmd_analyze, "spectral profile and picture")
 
-    p = sub.add_parser("decide", help="J-class decision with certificates")
-    common(p)
+    p = command("decide", cmd_decide, "J-class decision with certificates", grid)
     p.add_argument("--route", choices=["geometric", "moduli", "both"], default="geometric")
-    p.set_defaults(fn=cmd_decide)
 
-    p = sub.add_parser("simulate", help="mixing-witness stages toward a target")
-    common(p)
+    p = command("simulate", cmd_simulate, "mixing-witness stages toward a target", grid + solve)
     p.add_argument("--target", default=None, help="target vector JSON file (default: all ones)")
     p.add_argument("--stages", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="noise seed for --jset-start")
@@ -210,13 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit-csv", default=None, help="also write the target's orbit envelope")
     p.add_argument("--jset-start", default=None,
                    help="start vector JSON: run a limit-set membership experiment instead")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("plot", help="SVG of the decision geometry")
-    common(p)
+    p = command("plot", cmd_plot, "SVG of the decision geometry", grid)
     p.add_argument("--out", default=None, help="SVG output path")
     p.add_argument("--contour-csv", default=None, help="also write contour samples as CSV")
-    p.set_defaults(fn=cmd_plot)
 
     return parser
 

@@ -36,7 +36,6 @@ __all__ = [
     "JSetReport",
     "DivergenceError",
     "RootInAnnulusError",
-    "PrefixExhausted",
     "apply_operator",
     "shift_power",
     "preimage_power",
@@ -53,6 +52,8 @@ __all__ = [
 
 # stages over which mixing_witness fits its instance constant
 _CALIBRATION_STAGES = 4
+# prefix distance at which jset_experiment counts a target as reached
+_MEMBERSHIP_ERROR = 1e-6
 
 
 class DivergenceError(RuntimeError):
@@ -61,10 +62,6 @@ class DivergenceError(RuntimeError):
 
 class RootInAnnulusError(ValueError):
     """A map root falls inside the annulus, so factor routing is impossible."""
-
-
-class PrefixExhausted(RuntimeError):
-    """The requested construction consumed the whole exact prefix."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +401,6 @@ def mixing_witness(
     op: OperatorSpec,
     y: TruncatedVector,
     m_max: int,
-    tol: float = 1e-9,
     budget: Budget | None = None,
     verdict: Verdict | None = None,
 ) -> MixingWitness:
@@ -414,13 +410,15 @@ def mixing_witness(
     links come from the block-size probe, so no solve runs twice.  Raises
     ValueError when the operator is not certified JCLASS.  Decay violations
     and prefix exhaustion are reported in the witness rather than raised,
-    so callers can inspect the partial construction.
+    so callers can inspect the partial construction.  Solves run at
+    ``budget.tol``.
     """
+    budget = budget or Budget()
     verdict = verdict or decide_geometric(op, budget)
     if verdict.decision != JCLASS:
         raise ValueError(f"mixing witness needs a JCLASS operator, got {verdict.decision}")
     eps = verdict.condition_a.lower_bound - 1.0
-    solve = _solver(op, tol)
+    solve = _solver(op, budget.tol)
     return _witness(op, y, m_max, eps, solve, *_choose_n0(solve, y, eps))
 
 
@@ -640,7 +638,6 @@ def jset_experiment(
     targets,
     budget: Budget | None = None,
     seed: int = 0,
-    error_target: float = 1e-6,
     verdict: Verdict | None = None,
 ) -> JSetReport:
     """Membership experiments for the extended limit set of x.
@@ -652,7 +649,7 @@ def jset_experiment(
     non-decaying start vector the experiment instead measures the tail
     growth rate of perturbed iterates against the certified annulus bound
     and reports heuristic non-membership (a certified negative is out of
-    reach at finite truncation).
+    reach at finite truncation).  Solves run at ``budget.tol``.
     """
     budget = budget or Budget()
     verdict = verdict or decide_geometric(op, budget)
@@ -663,7 +660,7 @@ def jset_experiment(
     if _is_null_like(x):
         eps = verdict.condition_a.lower_bound - 1.0
         memberships = []
-        solve = _solver(op, 1e-9)  # mixing_witness's default tol
+        solve = _solver(op, budget.tol)
         for idx, y in enumerate(targets):
             n0, probe = _choose_n0(solve, y, eps)
             max_stages = max(1, (x.exact_prefix - 4) // max(1, n0 * deg))
@@ -687,13 +684,13 @@ def jset_experiment(
                 err = push.prefix_distance(y)
                 stages.append((s.index, s.norm, err))
                 final = min(final, err)
-                if err <= error_target:
+                if err <= _MEMBERSHIP_ERROR:
                     break
                 if s.index > 4 and err > 10.0 * final:
                     break  # orbit of x is growing, more stages cannot help
             status = (
                 MEMBER
-                if (decay_verified and final <= error_target)
+                if (decay_verified and final <= _MEMBERSHIP_ERROR)
                 else INCONCLUSIVE
             )
             memberships.append(

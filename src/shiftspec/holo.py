@@ -658,7 +658,7 @@ def winding_number(
     tail_err = f.eval_error(radius) + f.eval_round_error(radius)
     lip = float(f.lipschitz_bound(radius))
 
-    n = 256
+    n = min(256, 1 << (budget.winding_max.bit_length() - 1))  # a power of two within the cap
     phi = f.eval(radius * np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))) - target
     while True:
         dist = np.abs(phi)
@@ -675,8 +675,8 @@ def winding_number(
         )
         if ok or 2 * n > budget.winding_max:
             return WindingResult(wind, ok, n, min_dist)
-        # n is 256 * 2^j, so the even angles (2k) pi/n of the doubled grid
-        # round exactly to the old k (2 pi/n): only the odd ones are new
+        # n is a power of two, so the even angles (2k) pi/n of the doubled
+        # grid round exactly to the old k (2 pi/n): only the odd ones are new
         odd = f.eval(radius * np.exp(1j * (np.arange(1, 2 * n, 2) * (math.pi / n)))) - target
         phi = np.stack([phi, odd], axis=1).ravel()
         n *= 2

@@ -48,13 +48,7 @@ from .spectra import (
     i_of_adjoint,
     kernel_nontrivial,
 )
-from .weights import (
-    ConstantTail,
-    PeriodicTail,
-    SpectralProfile,
-    TwoValueDoublingBlocks,
-    WeightSequence,
-)
+from .weights import SpectralProfile, WeightSequence
 
 __all__ = [
     "JCLASS",
@@ -266,18 +260,17 @@ def cross_check(op: OperatorSpec, budget: Budget | None = None) -> ConsistencyRe
 
 
 def _perturbed_weights(w: WeightSequence, rel_delta: float, rng) -> WeightSequence:
-    def jitter(v: float) -> float:
+    """Jitter every weight of the weights format: the prefix first, then the
+    tail's numbers in ``to_dict`` order."""
+    def jitter(v):
+        if isinstance(v, list):
+            return [jitter(x) for x in v]
         return v * (1.0 + rng.uniform(-rel_delta, rel_delta))
 
-    prefix = tuple(jitter(v) for v in w.prefix)
-    t = w.tail
-    if isinstance(t, ConstantTail):
-        tail = ConstantTail(jitter(t.value))
-    elif isinstance(t, PeriodicTail):
-        tail = PeriodicTail(tuple(jitter(v) for v in t.values))
-    else:
-        tail = TwoValueDoublingBlocks(jitter(t.a), jitter(t.b))
-    return WeightSequence(prefix, tail)
+    d = w.to_dict()
+    prefix = jitter(d["prefix"])
+    tail = {k: v if k == "kind" else jitter(v) for k, v in d["tail"].items()}
+    return WeightSequence.from_dict({"prefix": prefix, "tail": tail})
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import shiftspec.dynamics as dynamics
 from shiftspec.cli import (
     EXIT_JCLASS,
     EXIT_NOT_JCLASS,
@@ -157,11 +158,53 @@ def test_schema_error_is_parse_failure(tmp_path):
     assert main(["decide", str(bad)]) == EXIT_PARSE
 
 
-def test_budget_overrides(tmp_path):
+def test_budget_overrides(tmp_path, monkeypatch):
     path = const_instance(tmp_path / "i.json", 2.0, ONE_PLUS_Z2, budgets={"gridMax": 4096})
     op, budget = load_instance(path)
     assert budget.grid_max == 4096 and budget.truncation_n == 256
-    assert main(["decide", path, "--budget-grid", "8192", "--tol", "1e-8"]) == EXIT_JCLASS
+    assert main(["decide", path, "--budget-grid", "8192"]) == EXIT_JCLASS
+    tols, route = [], dynamics._solver
+    monkeypatch.setattr(dynamics, "_solver", lambda op, tol: tols.append(tol) or route(op, tol))
+    assert main(["simulate", path, "--tol", "1e-8"]) == 0
+    assert tols == [1e-8]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--bogus"],
+        ["decide", "--budget-grid", "many"],
+        *(["analyze", flag, "1"] for flag in ("--budget-grid", "--budget-winding", "--trunc-n", "--tol")),
+        *([cmd, flag, "8"] for cmd in ("decide", "plot") for flag in ("--trunc-n", "--tol")),
+    ],
+)
+def test_usage_errors_exit_64(tmp_path, capsys, argv):
+    # argparse's own status 2 would read as UNDECIDED
+    path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    assert exc.value.code == EXIT_PARSE
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--budget-grid", "0"],
+        ["plot", "--budget-winding", "0"],
+        ["simulate", "--trunc-n", "0"],
+        ["simulate", "--tol", "0"],
+    ],
+)
+def test_zero_budget_flags_are_refused(tmp_path, argv):
+    path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
+    assert main([argv[0], path, *argv[1:]]) == EXIT_UNSUPPORTED
 
 
 # -- simulate --------------------------------------------------------------------
@@ -265,6 +308,29 @@ def test_simulate_jset_mode(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["status"] == "MEMBER"
     assert rep["memberships"][0]["finalError"] == 0.0
+
+
+def test_simulate_jset_mode_follows_tol(tmp_path, capsys):
+    # (z - 0.5)(z - 9): the outer-root series stops at the residual tolerance
+    path = const_instance(tmp_path / "i.json", 2.0, [[4.5, 0], [-9.5, 0], [1, 0]])
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"coords": [[0, 0]] * 256, "exactPrefix": 256}))
+    outputs = []
+    for tol in ("1e-9", "1e-2"):
+        main(["simulate", path, "--jset-start", str(start), "--tol", tol])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--orbit-csv"])
+def test_simulate_jset_mode_refuses_csv_outputs(tmp_path, capsys, flag):
+    path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"coords": [[0, 0]] * 256, "exactPrefix": 256}))
+    csv_path = tmp_path / "out.csv"
+    assert main(["simulate", path, "--jset-start", str(start), flag, str(csv_path)]) == EXIT_PARSE
+    assert "--jset-start" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 # -- plot ------------------------------------------------------------------------

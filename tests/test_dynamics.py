@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import shiftspec.dynamics as dynamics
 from conftest import random_weights
+from shiftspec.budget import Budget
 from shiftspec.dynamics import (
     HEURISTIC_NONMEMBER,
     MEMBER,
@@ -426,6 +428,16 @@ def test_jset_probes_each_target_once(monkeypatch):
     assert rep.status == MEMBER
     assert probes == targets
     assert len({id(v) for v in calls}) == len(calls)
+
+
+def test_solves_run_at_budget_tol(monkeypatch):
+    assert "tol" not in inspect.signature(mixing_witness).parameters
+    tols, route = [], dynamics._solver
+    monkeypatch.setattr(dynamics, "_solver", lambda op, tol: tols.append(tol) or route(op, tol))
+    budget = Budget(tol=1e-7)
+    mixing_witness(const_op(2.0), TruncatedVector.ones(64), 2, budget=budget)
+    jset_experiment(const_op(2.0), TruncatedVector.zeros(64), [TruncatedVector.ones(64)], budget=budget)
+    assert tols == [1e-7, 1e-7]
 
 
 def test_mixing_witness_requires_jclass():

@@ -296,6 +296,22 @@ def test_winding_reuses_samples(monkeypatch, rng):
         assert winding_number(f, r, target, budget) == winding_reference(f, r, target, budget)
 
 
+@pytest.mark.parametrize(
+    "f, cap, samples, valid",
+    [
+        (P(3, 0, 1), 64, 64, True),
+        (P(3, 0, 1), 100, 64, True),
+        (P(3, 0, 1), 255, 128, True),
+        (P(3, 0, 1), 300, 256, True),
+        (P(-1.005, 1), 100, 64, False),  # needs 2048 samples
+        (P(-1.005, 1), 1000, 512, False),
+    ],
+)
+def test_winding_samples_within_cap(f, cap, samples, valid):
+    wr = winding_number(f, 1.0, 0j, Budget(winding_max=cap))
+    assert (wr.samples, wr.valid) == (samples, valid)
+
+
 # -- coverage ------------------------------------------------------------
 
 

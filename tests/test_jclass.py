@@ -21,7 +21,13 @@ from shiftspec.jclass import (
     product_preserves_jclass,
 )
 from shiftspec.spectra import OperatorSpec, UnsupportedMapError, i_of_adjoint
-from shiftspec.weights import WeightSequence, spectral_profile
+from shiftspec.weights import (
+    ConstantTail,
+    PeriodicTail,
+    TwoValueDoublingBlocks,
+    WeightSequence,
+    spectral_profile,
+)
 
 
 def P(*coeffs):
@@ -328,6 +334,32 @@ def test_jclass_certificates_always_present(rng):
 
 
 # -- perturbation stability ----------------------------------------------------
+
+
+class _CountingRng:
+    """Draw k returns k, so a weight v perturbs to v * (1 + k)."""
+
+    def __init__(self):
+        self.k = 0
+
+    def uniform(self, lo, hi):
+        self.k += 1
+        return float(self.k)
+
+
+@pytest.mark.parametrize(
+    "tail, expected",
+    [
+        (ConstantTail(1.0), ConstantTail(4.0)),
+        (PeriodicTail((1.0, 10.0)), PeriodicTail((4.0, 50.0))),
+        (TwoValueDoublingBlocks(1.0, 10.0), TwoValueDoublingBlocks(4.0, 50.0)),
+    ],
+)
+def test_perturbed_weights_draw_order(tail, expected):
+    # the prefix draws first, then the tail's numbers in to_dict order
+    w = WeightSequence((1.0, 1.0), tail)
+    wp = shiftspec.jclass._perturbed_weights(w, 0.1, _CountingRng())
+    assert wp.prefix == (2.0, 3.0) and wp.tail == expected
 
 
 def test_stability_within_margin():

@@ -1,0 +1,26 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps program names given
+as strings; these checks fail as soon as a rename or deletion would break a
+traced benchmark run."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("layer", tracing.LAYERS)
+def test_layer_exports_resolve(layer):
+    mod = importlib.import_module(f"shiftspec.{layer}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("layer, cls_name, meth", tracing.METHODS)
+def test_traced_methods_are_defined_on_their_class(layer, cls_name, meth):
+    cls = getattr(importlib.import_module(f"shiftspec.{layer}"), cls_name)
+    assert callable(cls.__dict__.get(meth))
