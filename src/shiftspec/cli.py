@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from .budget import Budget
-from .dynamics import TruncatedVector, jset_experiment, mixing_witness, orbit_envelope
+from .dynamics import (DivergenceError, TruncatedVector, jset_experiment, mixing_witness,
+                       orbit_envelope)
 from .jclass import JCLASS, NOT_JCLASS, VERDICT_UNDECIDED, decide
 from .spectra import OperatorSpec, UnsupportedMapError, spectral_picture
 from .svgplot import contour_csv_rows, render_svg
@@ -73,14 +74,16 @@ def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
 
 
 def _load_vector(path: str, n: int) -> TruncatedVector:
+    """The file's vector cut or zero-padded to n coordinates; the exact
+    prefix is the file's, at most n (padding carries no claim)."""
     data = _read_json(path)
     try:
         if isinstance(data, list):
-            coords = np.array([complex(re, im) for re, im in data])
-            return TruncatedVector(coords, len(coords))
-        return TruncatedVector.from_dict(data)
+            data = {"coords": data}
+        x = TruncatedVector.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"{path}: invalid vector: {exc}") from exc
+    return TruncatedVector(np.pad(x.coords[:n], (0, max(0, n - x.size))), min(n, x.exact_prefix))
 
 
 def _emit(obj: dict) -> None:
@@ -119,10 +122,7 @@ def cmd_simulate(args) -> int:
     op, budget = load_instance(args.path)
     budget = _override_budget(budget, args)
     n = budget.truncation_n
-    if args.target:
-        target = _load_vector(args.target, n)
-    else:
-        target = TruncatedVector.ones(n)
+    target = _load_vector(args.target, n) if args.target else TruncatedVector.ones(n)
 
     verdict, _ = decide(op, route="geometric", budget=budget)
     if verdict.decision != JCLASS:
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
     except UnsupportedMapError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except DivergenceError as exc:
+        print(f"simulation failure: {exc}", file=sys.stderr)
+        return EXIT_SIM_FAILED
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -8,14 +8,15 @@ grow the marker according to which coordinates they consume, and all
 claims in reports and tests are made on exact prefixes only.
 
 Provided here: the shift-power action and its polynomial images, exact
-preimage solvers (coordinate recurrences for inner factors, geometric
-resolvent series for outer factors, factor routing for polynomials), the
+preimage solvers (one affine scan, run forward for inner factors and
+backward for outer ones, and factor routing for polynomials), the
 mixing-witness construction with its norm-decay certificate, explicit
 eigenvectors with null-sequence decay, eigenvector span approximation, and
 extended-limit-set membership experiments.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .budget import Budget
 from .holo import Polynomial, _horner_scalar
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
-from .weights import WeightSequence, spectral_profile, window_products
+from .weights import WeightSequence, _windows, spectral_profile, window_products
 
 __all__ = [
     "TruncatedVector",
@@ -242,27 +243,44 @@ def solve_factor_inner(
     return _inner(w.values_array(y.size - 1), zeta, y, guard)
 
 
+def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
+    """Least L with y_norm * max_k w_k ... w_{k+L-1} / az^L <= tol over the
+    windows inside the buffer (none once L reaches its length): an a-priori
+    bound on the resolvent series' stop quantity ||B^L y|| / |zeta|^L, in
+    log space, by an exponential search and a bisection."""
+    if y_norm == 0:
+        return 1
+    n, logs = len(ws) + 1, np.log(ws)
+    bound = (math.log(tol) if tol > 0 else -math.inf) - math.log(y_norm)
+
+    def stops(L: int) -> bool:
+        return L >= n or float(_windows(logs, L, n - L, np.add).max()) - L * math.log(az) <= bound
+
+    hi = 1
+    while not stops(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2 + 1, key=stops)
+
+
 def _outer(ws: np.ndarray, r1: float, zeta: complex, y: TruncatedVector, tol: float):
     az = abs(zeta)
     if az - r1 < tol:
         raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
-    acc, term, scale = np.zeros(y.size, dtype=complex), y.coords, -1.0 / zeta
-    for j in range(1, 64 * y.size + 2):
-        acc += (scale / zeta ** (j - 1)) * term
-        term = np.append(ws * term[1:], 0j)  # one weighted backward shift
-        # the dropped remainder is exactly ||B^j y|| / |zeta|^j
-        if float(np.max(np.abs(term))) / az**j <= tol:
-            return TruncatedVector(acc, max(0, y.exact_prefix - (j - 1)))
-    raise RuntimeError("resolvent series failed to converge")
+    # x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0, scanned from the end
+    x = _affine_scan((ws / zeta)[::-1], (-y.coords[:-1] / zeta)[::-1], -y.coords[-1] / zeta)
+    cut = _series_cut(ws, az, y.sup_norm_full(), tol)
+    return TruncatedVector(x[::-1], max(0, y.exact_prefix - (cut - 1)))
 
 
 def solve_factor_outer(
     w: WeightSequence, zeta: complex, y: TruncatedVector, tol: float = 1e-12
 ) -> TruncatedVector:
-    """Solve (shift - zeta) x = y for |zeta| above the outer radius r1 via
-    the geometric resolvent series x = -sum_j zeta^{-(j+1)} B^j y, truncated
-    once the next term is below tol / |zeta| in sup norm (which caps the
-    dropped remainder at tol)."""
+    """Solve (shift - zeta) x = y for |zeta| above the outer radius r1 by the
+    backward recurrence x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0,
+    the affine scan run on reversed arrays.  Its gain per step averages
+    r1 / |zeta| < 1, and it returns the resolvent series
+    -sum_j zeta^{-(j+1)} B^j y summed over the whole buffer.  tol sets only
+    the exact prefix, which loses L - 1 coordinates (see _series_cut)."""
     return _outer(w.values_array(y.size - 1), spectral_profile(w).r1, zeta, y, tol)
 
 
@@ -294,7 +312,7 @@ def _solver(op: OperatorSpec, tol: float):
     lead = f.coeffs[-1]
     # truncation errors made by one factor solve are amplified by every
     # factor applied afterwards (at most r1 + |root| each), so each outer
-    # series runs at a tolerance shrunk by the total amplification
+    # factor cuts its exact prefix at a tolerance shrunk by the total
     amp = abs(lead)
     for z in roots:
         amp *= prof.r1 + abs(z) + 1.0
@@ -431,7 +449,8 @@ def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
     for m in range(1, m_max + 1):
         for k in range((m - 1) * n0 + 1, m * n0 + 1):
             x = probe[k] if k < len(probe) else solve(x)
-        if x.exact_prefix <= 0:
+        # the round trip consumes n0 deg coordinates; none left checks nothing
+        if x.exact_prefix - n0 * op.map.degree < 1:
             ok, failure = False, f"exact prefix exhausted at stage {m}"
             break
         chain.append(x)
@@ -468,15 +487,7 @@ def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
         if not residual <= 1e-6 * max(1.0, y_norm):
             ok, failure = False, f"round trip residual {residual} at stage {m}"
             break
-    return MixingWitness(
-        n0=n0,
-        epsilon=eps,
-        constant=constant,
-        target_norm=y_norm,
-        stages=tuple(stages),
-        ok=ok,
-        failure=failure,
-    )
+    return MixingWitness(n0, eps, constant, y_norm, tuple(stages), ok, failure)
 
 
 def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
@@ -667,20 +678,15 @@ def jset_experiment(
             wit = _witness(op, y, max_stages, eps, solve, n0, probe)
             # a verified decay bound extrapolates the approach vectors to 0
             # beyond the computed stages; losing it voids the certificate
-            decay_verified = wit.ok or (
-                wit.failure is not None and wit.failure.startswith("exact prefix")
-            )
+            decay_verified = wit.ok or (wit.failure or "").startswith("exact prefix")
             stages = []
             final = math.inf
             for s in wit.stages:
                 combined_exact = min(x.exact_prefix, s.x.exact_prefix)
                 if combined_exact - s.index * wit.n0 * deg <= 0:
                     break
-                push = apply_operator(
-                    op,
-                    TruncatedVector(x.coords + s.x.coords, combined_exact),
-                    s.index * wit.n0,
-                )
+                both = TruncatedVector(x.coords + s.x.coords, combined_exact)
+                push = apply_operator(op, both, s.index * wit.n0)
                 err = push.prefix_distance(y)
                 stages.append((s.index, s.norm, err))
                 final = min(final, err)
@@ -688,19 +694,9 @@ def jset_experiment(
                     break
                 if s.index > 4 and err > 10.0 * final:
                     break  # orbit of x is growing, more stages cannot help
-            status = (
-                MEMBER
-                if (decay_verified and final <= _MEMBERSHIP_ERROR)
-                else INCONCLUSIVE
-            )
-            memberships.append(
-                MembershipCertificate(idx, status, tuple(stages), final)
-            )
-        overall = (
-            MEMBER
-            if all(m.status == MEMBER for m in memberships)
-            else INCONCLUSIVE
-        )
+            status = MEMBER if decay_verified and final <= _MEMBERSHIP_ERROR else INCONCLUSIVE
+            memberships.append(MembershipCertificate(idx, status, tuple(stages), final))
+        overall = MEMBER if all(m.status == MEMBER for m in memberships) else INCONCLUSIVE
         return JSetReport("membership", tuple(memberships), None, overall)
 
     # growth diagnostic for non-decaying start vectors

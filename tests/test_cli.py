@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from shiftspec.cli import (
     EXIT_SIM_FAILED,
     EXIT_UNDECIDED,
     EXIT_UNSUPPORTED,
+    _load_vector,
     load_instance,
     main,
 )
@@ -232,6 +236,92 @@ def test_simulate_zero_target(tmp_path, capsys):
     assert all(s["norm"] == 0.0 for s in wit["stages"])
 
 
+def test_simulate_pads_target_to_truncation(tmp_path, capsys, monkeypatch):
+    path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([[1, 0]] * 64))
+    sizes, route = [], dynamics._solver
+
+    def recording(op, tol):
+        solve = route(op, tol)
+        return lambda y: sizes.append((y.size, y.exact_prefix)) or solve(y)
+
+    monkeypatch.setattr(dynamics, "_solver", recording)
+    assert main(["simulate", path, "--target", str(target), "--trunc-n", "512"]) == 0
+    assert json.loads(capsys.readouterr().out)["targetNorm"] == 1.0
+    # the padding carries no claim: the exact prefix starts at the file's 64
+    assert sizes[0] == (512, 64) and {n for n, _ in sizes} == {512}
+
+
+def test_load_vector_cuts_to_truncation(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"coords": [[k, 0] for k in range(64)], "exactPrefix": 40}))
+    x = _load_vector(str(target), 16)
+    assert x.size == 16 and x.exact_prefix == 16
+    assert list(x.coords.real) == list(range(16))
+
+
+# 100 z (z - 2.02) on constant weight 2 is JCLASS with its outer root at
+# r1 / |zeta| = 0.99: each solve at n = 4096 loses about 2,350 exact
+# coordinates to the resolvent cut
+def near_outer(tmp_path):
+    return const_instance(tmp_path / "i.json", 2.0, [[0, 0], [-202, 0], [100, 0]], {"truncationN": 4096})
+
+
+# the inner root 1.99 sits behind five weights of 0.01
+def inner_divergence(tmp_path):
+    return write_instance(
+        tmp_path / "i.json",
+        {"prefix": [0.01] * 5, "tail": {"kind": "constant", "value": 2.0}},
+        {"kind": "poly", "coeffs": [[-398, 0], [200, 0]]},
+    )
+
+
+def test_simulate_near_outer_root_one_stage(tmp_path, capsys):
+    path = near_outer(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "--stages", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["ok"] is True and len(wit["stages"]) == 1
+
+
+def test_simulate_near_outer_root_exhausts_prefix(tmp_path, capsys):
+    # stage 2 keeps at most n0 deg exact coordinates, so its round trip
+    # would check nothing: the witness stops instead of passing
+    path = near_outer(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "--stages", "3"]) == EXIT_SIM_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == "simulation failure: exact prefix exhausted at stage 2\n"
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["ok"] is False and wit["failure"] == "exact prefix exhausted at stage 2"
+    assert len(wit["stages"]) == 1
+
+
+def test_simulate_inner_divergence_exits_70(tmp_path, capsys):
+    # the recurrence passes the divergence guard at k = 4
+    assert main(["simulate", inner_divergence(tmp_path), "--stages", "3"]) == EXIT_SIM_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failure: inner-factor recurrence") and "k=4" in err
+
+
+@pytest.mark.parametrize("instance", [near_outer, inner_divergence], ids=lambda f: f.__name__)
+def test_simulate_process_exit_code_is_documented(tmp_path, instance):
+    path = instance(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftspec.cli", "simulate", path, "--stages", "3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode in (0, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_SIM_FAILED)
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_refuses_not_jclass(tmp_path, capsys):
     path = const_instance(tmp_path / "i.json", 1.0, IDENTITY)
     assert main(["simulate", path, "--stages", "3"]) == EXIT_UNSUPPORTED
@@ -310,16 +400,18 @@ def test_simulate_jset_mode(tmp_path, capsys):
     assert rep["memberships"][0]["finalError"] == 0.0
 
 
-def test_simulate_jset_mode_follows_tol(tmp_path, capsys):
-    # (z - 0.5)(z - 9): the outer-root series stops at the residual tolerance
+def test_simulate_jset_mode_follows_tol(tmp_path, capsys, monkeypatch):
+    # (z - 0.5)(z - 9): --tol reaches the solver, and the outer root's
+    # values do not depend on it, so a loose tolerance still certifies
     path = const_instance(tmp_path / "i.json", 2.0, [[4.5, 0], [-9.5, 0], [1, 0]])
     start = tmp_path / "start.json"
     start.write_text(json.dumps({"coords": [[0, 0]] * 256, "exactPrefix": 256}))
-    outputs = []
+    tols, route = [], dynamics._solver
+    monkeypatch.setattr(dynamics, "_solver", lambda op, tol: tols.append(tol) or route(op, tol))
     for tol in ("1e-9", "1e-2"):
-        main(["simulate", path, "--jset-start", str(start), "--tol", tol])
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] != outputs[1]
+        assert main(["simulate", path, "--jset-start", str(start), "--tol", tol]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "MEMBER"
+    assert tols == [1e-9, 1e-2]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--orbit-csv"])

@@ -30,7 +30,14 @@ from shiftspec.dynamics import (
 )
 from shiftspec.holo import Polynomial, identity_map
 from shiftspec.spectra import OperatorSpec
-from shiftspec.weights import WeightSequence, kappa_forward_power, spectral_profile
+from shiftspec.weights import (
+    ConstantTail,
+    PeriodicTail,
+    TwoValueDoublingBlocks,
+    WeightSequence,
+    kappa_forward_power,
+    spectral_profile,
+)
 
 
 def P(*coeffs):
@@ -287,6 +294,91 @@ def test_outer_factor_norm_bound():
 def test_outer_factor_rejects_slow_convergence():
     with pytest.raises(ValueError):
         solve_factor_outer(WeightSequence.constant(2.0), 2.0 + 1e-13, TruncatedVector.ones(8))
+
+
+def series_outer(w, zeta, y, tol):
+    """The resolvent series -sum_j zeta^{-(j+1)} B^j y one term at a time,
+    with each B^j y held as a unit-sup vector times exp(scale), so that no
+    power of zeta or of the weights leaves float range.  Stops at the first
+    j with ||B^j y|| / |zeta|^j <= tol, tested in log space, and returns the
+    partial sum, its exact prefix, the sup of the dropped terms' sum and the
+    sum of every term's sup (the reference's own rounding scale)."""
+    n, lz, phase = len(y), math.log(abs(zeta)), zeta / abs(zeta)
+    ws = w.values_array(n - 1)
+    acc, term, scale = np.zeros(n, dtype=complex), np.array(y, dtype=complex), 0.0
+    stop, dropped, total = None, 0.0, 0.0
+    for j in range(n + 1):
+        top = float(np.max(np.abs(term)))
+        if top == 0.0:
+            break
+        term, scale = term / top, scale + math.log(top)
+        if stop is None and j >= 1 and scale - j * lz <= math.log(tol):
+            stop = j
+        size = math.exp(scale - (j + 1) * lz)
+        total += size
+        if stop is None:
+            acc -= size * phase ** -(j + 1) * term
+        else:
+            dropped += size
+        term = np.append(ws * term[1:], 0j)
+    exact = max(0, n - ((stop or max(j, 1)) - 1))
+    return acc, exact, dropped, total
+
+
+tails = st.one_of(
+    st.builds(ConstantTail, st.floats(0.5, 4.0)),
+    st.builds(lambda v: PeriodicTail(tuple(v)), st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3)),
+    st.builds(TwoValueDoublingBlocks, st.floats(0.5, 4.0), st.floats(0.5, 4.0)),
+)
+# prefix weights log-uniform in [1e-3, 1e3], so that gains w_k / |zeta| far
+# above 1 are common ahead of the tail
+outer_weights = st.builds(
+    lambda prefix, tail: WeightSequence(tuple(10.0**t for t in prefix), tail),
+    st.lists(st.floats(-3.0, 3.0), max_size=12),
+    tails,
+)
+
+
+@pytest.mark.parametrize("n", SCAN_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(
+    w=outer_weights,
+    clearance=st.floats(math.log10(1.01), 2.0),
+    theta=st.floats(0.0, 2 * math.pi),
+    log_tol=st.floats(-14.0, -2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_outer_scan_matches_series(n, w, clearance, theta, log_tol, seed):
+    r1 = spectral_profile(w).r1
+    zeta = 10.0**clearance * r1 * cmath.exp(1j * theta)
+    tol = min(10.0**log_tol, 0.5 * (abs(zeta) - r1))  # the solver's domain check
+    rng = np.random.default_rng(seed)
+    y = TruncatedVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
+    ref, ref_exact, dropped, total = series_outer(w, zeta, y.coords, tol)
+    x = solve_factor_outer(w, zeta, y, tol)
+    assert x.size == n and x.exact_prefix <= ref_exact
+    p = x.exact_prefix
+    assert np.all(np.abs(x.coords[:p] - ref[:p]) <= dropped + 1e-12 * total)
+    # (B_w - zeta) x = y on the whole buffer, x_{N+1} = 0 past its end
+    shifted = np.append(w.values_array(n - 1) * x.coords[1:], 0j)
+    residual = np.abs(shifted - zeta * x.coords - y.coords)
+    assert np.max(residual) <= 1e-12 * np.max(np.abs(shifted) + abs(zeta) * np.abs(x.coords) + np.abs(y.coords))
+
+
+def test_outer_factor_zero_keeps_prefix():
+    x = solve_factor_outer(WeightSequence.constant(2.0), 3.0, TruncatedVector(np.zeros(16), 10))
+    assert x.exact_prefix == 10 and np.all(x.coords == 0)
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_solve_poly_outer_root_near_outer_radius(n):
+    # r1 / |zeta| = 0.99: the resolvent sum runs past |zeta|^j = 1e308
+    op = const_op(2.0, P(-2.02, 1))
+    y = TruncatedVector.ones(n)
+    x = solve_poly(op, y)
+    assert np.all(np.isfinite(x.coords)) and x.exact_prefix > 0
+    back = apply_operator(op, x)
+    assert back.exact_prefix > 0 and back.prefix_distance(y) <= 1e-9
 
 
 def test_solve_poly_identity_reduces_to_preimage():
