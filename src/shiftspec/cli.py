@@ -68,7 +68,7 @@ def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
     try:
         op = OperatorSpec.from_dict(data)
         budget = Budget.from_dict(data.get("budgets"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure(f"{path}: invalid instance: {exc}") from exc
     return op, budget
 
@@ -81,7 +81,7 @@ def _load_vector(path: str, n: int) -> TruncatedVector:
         if isinstance(data, list):
             data = {"coords": data}
         x = TruncatedVector.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure(f"{path}: invalid vector: {exc}") from exc
     return TruncatedVector(np.pad(x.coords[:n], (0, max(0, n - x.size))), min(n, x.exact_prefix))
 

@@ -192,33 +192,56 @@ def preimage_power(w: WeightSequence, z: TruncatedVector, n0: int) -> TruncatedV
     return TruncatedVector(out, min(size, z.exact_prefix + n0))
 
 
-_SCAN_BLOCK = 64  # block length of the affine scan (a power of two)
+_SCAN_BLOCK = 64  # longest chunk of the affine scan
 
 
-def _affine_scan(a: np.ndarray, b: np.ndarray, x1: complex) -> np.ndarray:
-    """x_1 = x1 and x_{k+1} = a_k x_k + b_k for k = 1..len(a).  Hillis-Steele
-    doubling composes the maps inside blocks of _SCAN_BLOCK (as in
-    window_products, no division); a loop over block ends carries x into the
-    next block.  A zero carry skips its block's product of a's, which may
-    overflow where x does not (inf * 0 would be NaN)."""
-    pad = -len(a) % _SCAN_BLOCK
-    A = np.concatenate((a, np.ones(pad)), dtype=complex).reshape(-1, _SCAN_BLOCK)
-    B = np.concatenate((b, np.zeros(pad)), dtype=complex).reshape(-1, _SCAN_BLOCK)
+def _scan_chunk(steps: int) -> int:
+    """Chunk length of the affine scan over `steps` steps: about sqrt(steps) / 4
+    (4 at 255 steps, 16 at 4095, 64 at 65535), at most _SCAN_BLOCK."""
+    return min(_SCAN_BLOCK, max(1, (math.isqrt(steps) + 2) // 4))
+
+
+def _affine_scan(a: np.ndarray, x: np.ndarray) -> None:
+    """x_{k+1} = a_k x_k + b_k for k = 1..len(a), in place: on entry x[0] is
+    x_1 and x[k] is b_k, on return x[k] is x_{k+1}.
+
+    The steps are cut into chunks of L = _scan_chunk(len(a)) consecutive
+    steps, the rows of (C, L) views of a and x, so one numpy step on a
+    column advances every chunk at once; fewer than L steps are left over
+    at the end.  Pass 1 composes each chunk: the product of its a's and
+    the image of 0.  A loop over chunk ends carries x into the next chunk
+    and runs the leftover steps; a zero carry skips its chunk's product of
+    a's, which may overflow where x does not (inf * 0 would be NaN).  Pass 2
+    reruns the recurrence inside every chunk from its carry.  O(len(a))
+    work, and no product spans more than _SCAN_BLOCK steps."""
+    m = len(a)
+    L = _scan_chunk(m)
+    full = m - m % L
+    A = a[:full].reshape(-1, L)
+    X = x[1 : full + 1].reshape(-1, L)  # a 1-D slice reshapes to a view
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in (1 << i for i in range(_SCAN_BLOCK.bit_length() - 1)):
-            B[:, s:] = A[:, s:] * B[:, :-s] + B[:, s:]
-            A[:, s:] = A[:, s:] * A[:, :-s]
-        carry = [x1]
-        for ak, bk in zip(A[:-1, -1].tolist(), B[:-1, -1].tolist()):
-            carry.append(ak * carry[-1] + bk if carry[-1] else bk)
-        carry = np.array(carry)[:, None]
-        x = np.where(carry == 0, 0j, A * carry) + B
-    return np.concatenate(([x1], x.ravel()[: len(a)]))
+        prod, img = A[:, 0].copy(), X[:, 0].copy()
+        for j in range(1, L):
+            img *= A[:, j]
+            img += X[:, j]
+            prod *= A[:, j]
+        c = complex(x[0]) if len(x) else 0j  # an empty x has no steps
+        carry = [c]
+        for ak, bk in zip(prod.tolist() + a[full:].tolist(), img.tolist() + x[full + 1 :].tolist()):
+            c = ak * c + bk if c else bk
+            carry.append(c)
+        x[full + 1 :] = carry[len(prod) + 1 :]
+        X[:, 0] += A[:, 0] * np.array(carry[: len(prod)], dtype=complex)
+        for j in range(1, L):
+            X[:, j] += A[:, j] * X[:, j - 1]
 
 
 def _inner(ws: np.ndarray, zeta: complex, y: TruncatedVector, guard: float) -> TruncatedVector:
     cap = guard * max(y.sup_norm_full(), 1e-300)
-    x = _affine_scan(zeta / ws, y.coords[:-1] / ws, 0j)[: y.size]
+    x = np.empty(y.size, dtype=complex)
+    x[:1] = 0.0
+    np.divide(y.coords[:-1], ws, out=x[1:])
+    _affine_scan(zeta / ws, x)
     bad = np.flatnonzero(~(np.abs(x) <= cap))  # a NaN fails too
     if len(bad):
         raise DivergenceError(f"inner-factor recurrence exceeded {guard} x ||y|| at k={bad[0] + 1}")
@@ -229,7 +252,9 @@ def solve_factor_inner(
     w: WeightSequence, zeta: complex, y: TruncatedVector, guard: float = 1e6
 ) -> TruncatedVector:
     """Solve (shift - zeta) x = y: the affine recurrence x_1 = 0,
-    x_{k+1} = (zeta / w_k) x_k + y_k / w_k, taken by a blocked prefix scan.
+    x_{k+1} = (zeta / w_k) x_k + y_k / w_k, taken by the chunked affine scan
+    (sequential inside chunks of at most _SCAN_BLOCK steps, one carry per
+    chunk, O(n) work).
 
     Needs |zeta| below the inner radius r2: the homogeneous amplification
     per step is zeta / w_k, whose long-run geometric mean is |zeta| / r2
@@ -267,9 +292,11 @@ def _outer(ws: np.ndarray, r1: float, zeta: complex, y: TruncatedVector, tol: fl
     if az - r1 < tol:
         raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
     # x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0, scanned from the end
-    x = _affine_scan((ws / zeta)[::-1], (-y.coords[:-1] / zeta)[::-1], -y.coords[-1] / zeta)
+    # of a buffer of -y / zeta: the b_k, and x_N to start from
+    x = np.divide(y.coords, -zeta)
+    _affine_scan((ws / zeta)[::-1], x[::-1])
     cut = _series_cut(ws, az, y.sup_norm_full(), tol)
-    return TruncatedVector(x[::-1], max(0, y.exact_prefix - (cut - 1)))
+    return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
 
 
 def solve_factor_outer(
@@ -503,7 +530,10 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
     if abs(lam) >= r3:
         raise ValueError(f"|lambda| = {abs(lam)} must stay below the eigenvalue radius {r3}")
     ws = w.values_array(max(1, n - 1))
-    return TruncatedVector(_affine_scan(lam / ws[: n - 1], np.zeros(n - 1), lam / ws[0]), n)
+    e = np.zeros(n, dtype=complex)
+    e[0] = lam / ws[0]
+    _affine_scan(lam / ws[: n - 1], e)
+    return TruncatedVector(e, n)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ Window products come from one doubling reduction, ``_windows``:
 overflowing only where a window's product leaves float range) and
 ``log_window_products`` adds their logs, for kappa's windows of thousands
 of weights; ``estimate_profile`` grows its log window sums one weight at a
-time.  Nothing is cached, values are immutable and every function is pure.
+time.  ``values_array`` fills its array by slices, one per doubling block
+or one period copied onward in doubling runs, so n weights take O(log n)
+numpy calls.  Nothing is cached, values are immutable and every function is
+pure.
 """
 from __future__ import annotations
 
@@ -155,26 +158,30 @@ class WeightSequence:
         return t.a if block % 2 == 0 else t.b
 
     def values_array(self, n: int) -> np.ndarray:
-        """First n weights as a float array."""
+        """First n weights as a float array, filled by slices: one per
+        doubling block, or one period copied onward in doubling runs."""
         if n <= 0:
             return np.empty(0)
         p = len(self.prefix)
         out = np.empty(n)
         head = min(p, n)
         out[:head] = self.prefix[:head]
-        m = n - head
-        if m <= 0:
-            return out
+        tail = out[head:]
         t = self.tail
         if isinstance(t, ConstantTail):
-            out[head:] = t.value
+            tail[:] = t.value
         elif isinstance(t, PeriodicTail):
-            reps = -(-m // len(t.values))
-            out[head:] = np.tile(np.asarray(t.values), reps)[:m]
+            done = min(len(t.values), len(tail))
+            tail[:done] = t.values[:done]
+            while done < len(tail):  # whole periods, so every copy keeps the phase
+                step = min(done, len(tail) - done)
+                tail[done : done + step] = tail[:step]
+                done += step
         else:
-            j = np.arange(1, m + 1, dtype=float)
-            block = np.floor(np.log2(j)).astype(int)
-            out[head:] = np.where(block % 2 == 0, t.a, t.b)
+            start = 1  # block m holds tail positions 2^m .. 2^(m+1) - 1
+            while start <= len(tail):
+                tail[start - 1 : 2 * start - 1] = t.a if start.bit_length() % 2 else t.b
+                start *= 2
         return out
 
     def upper_bound(self) -> float:

@@ -162,6 +162,31 @@ def test_schema_error_is_parse_failure(tmp_path):
     assert main(["decide", str(bad)]) == EXIT_PARSE
 
 
+# a 400-digit integer overflows float(), and 1e400 parses to inf, which int() refuses
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("weights, budgets", [
+    (f'{{"prefix": [{HUGE}], "tail": {{"kind": "constant", "value": 2.0}}}}', None),
+    ('{"prefix": [], "tail": {"kind": "constant", "value": 2.0}}', '{"truncationN": 1e400}'),
+    ('{"prefix": [], "tail": {"kind": "constant", "value": 2.0}}', '{"gridMax": 1e400}'),
+])
+def test_overflowing_instance_numbers_are_parse_failures(tmp_path, capsys, weights, budgets):
+    bad = tmp_path / "bad.json"
+    doc = f'{{"weights": {weights}, "map": {{"kind": "poly", "coeffs": [[0, 0], [1, 0]]}}'
+    bad.write_text(doc + (f', "budgets": {budgets}}}' if budgets else "}"))
+    assert main(["decide", str(bad)]) == EXIT_PARSE
+    assert "invalid instance" in capsys.readouterr().err
+
+
+def test_overflowing_target_is_parse_failure(tmp_path, capsys):
+    path = const_instance(tmp_path / "i.json", 2.0, IDENTITY)
+    target = tmp_path / "target.json"
+    target.write_text(f"[[{HUGE}, 0], [1, 0]]")
+    assert main(["simulate", path, "--target", str(target)]) == EXIT_PARSE
+    assert "invalid vector" in capsys.readouterr().err
+
+
 def test_budget_overrides(tmp_path, monkeypatch):
     path = const_instance(tmp_path / "i.json", 2.0, ONE_PLUS_Z2, budgets={"gridMax": 4096})
     op, budget = load_instance(path)

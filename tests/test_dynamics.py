@@ -209,7 +209,24 @@ def divergence_k(exc) -> int:
 
 
 BLOCK = dynamics._SCAN_BLOCK
-SCAN_SIZES = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3000)
+
+
+def chunk(n: int) -> int:
+    """The scan's chunk length on an n-coordinate vector (n - 1 steps)."""
+    return dynamics._scan_chunk(n - 1)
+
+
+def whole_chunks(n: int) -> tuple[int, int]:
+    """Sizes near n whose n - 1 steps are C L, and C L + 1 (one step left over)."""
+    steps = n - 1 - (n - 1) % chunk(n)
+    return steps + 1, steps + 2
+
+
+# sizes where the chunk length changes (at 36 -> 37 from L = 1 to 2, at 197
+# from 3 to 4), whole chunks and one step more (63, 64 and 65, 66 at L = 2)
+L_CHANGES = [n for n in range(2, 2**16 + 1) if chunk(n) != chunk(n - 1)]
+SCAN_SIZES = (1, 2, L_CHANGES[0] - 1, L_CHANGES[0], L_CHANGES[2],
+              *whole_chunks(BLOCK), *whole_chunks(BLOCK + 2), 3000)
 # prefix weights log-uniform in [1e-3, 1e3], so that runs of small weights
 # (and with them divergence) are common
 scan_weights = st.builds(
@@ -262,15 +279,50 @@ def test_inner_factor_nan_fails_the_guard():
 
 
 def test_inner_scan_zero_first_block_tiny_prefix():
-    # the first block's product of zeta / w_k is (99 / 1e-3)^64, past float
+    # the first chunk's product of zeta / w_k is (99 / 1e-150)^L, past float
     # range, but y vanishes there, so its carry is exactly 0 and x stays 0
-    w = WeightSequence.constant(100.0, (1e-3,) * BLOCK)
-    y = TruncatedVector(np.r_[np.zeros(BLOCK), np.ones(2 * BLOCK)], 3 * BLOCK)
+    n = 3 * BLOCK
+    w = WeightSequence.constant(100.0, (1e-150,) * BLOCK)
+    with np.errstate(over="ignore"):
+        assert np.prod(99.0 / w.values_array(chunk(n))) == np.inf
+    y = TruncatedVector(np.r_[np.zeros(BLOCK), np.ones(2 * BLOCK)], n)
     x = solve_factor_inner(w, 99.0, y)
     ref = naive_inner(w, 99.0, y.coords)
     assert np.all(np.isfinite(x.coords))
     assert np.all(x.coords[: BLOCK + 1] == 0)
     assert np.max(np.abs(x.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def naive_outer(w, zeta, y):
+    """x_N = -y_N / zeta, x_k = (w_k x_{k+1} - y_k) / zeta, one coordinate at a time."""
+    out = [-complex(y[-1]) / zeta]
+    for k in range(len(y) - 1, 0, -1):
+        out.append((w.value(k) * out[-1] - complex(y[k - 1])) / zeta)
+    return np.array(out[::-1])
+
+
+def naive_eigenvector(w, lam, n):
+    """e_1 = lam / w_1, e_{k+1} = (lam / w_k) e_k, one coordinate at a time."""
+    out = [lam / w.value(1)]
+    for k in range(1, n):
+        out.append(lam / w.value(k) * out[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [L_CHANGES[-1], *whole_chunks(2**16), 2**16])
+def test_scans_match_recurrences_at_long_chunks(n, rng):
+    # the largest sizes, where chunks reach their full length
+    assert chunk(n) == BLOCK
+    w = WeightSequence.periodic(rng.uniform(0.5, 4.0, 3), rng.uniform(0.5, 2.0, 5))
+    prof = spectral_profile(w)
+    y = TruncatedVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
+    turn = cmath.exp(2j * math.pi * rng.uniform())
+    for got, ref in [
+        (solve_factor_inner(w, 0.9 * prof.r2 * turn, y), naive_inner(w, 0.9 * prof.r2 * turn, y.coords)),
+        (solve_factor_outer(w, 1.1 * prof.r1 * turn, y), naive_outer(w, 1.1 * prof.r1 * turn, y.coords)),
+        (eigenvector(w, 0.9 * prof.r3 * turn, n), naive_eigenvector(w, 0.9 * prof.r3 * turn, n)),
+    ]:
+        assert np.max(np.abs(got.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_outer_factor_single_term():

@@ -37,11 +37,17 @@ def test_indexing_doubling_blocks():
     assert [w.value(k) for k in range(1, 32)] == expected[:31]
 
 
-def test_values_array_matches_pointwise(rng):
-    for _ in range(20):
-        w = random_weights(rng)
-        arr = w.values_array(64)
-        assert arr.tolist() == [w.value(k) for k in range(1, 65)]
+def test_values_array_matches_pointwise():
+    # prefixes of 0-3 weights before every tail kind, periods 1-4; the
+    # longest array crosses every block and period boundary below 2^16
+    tails = [ConstantTail(2.0), TwoValueDoublingBlocks(3.0, 0.5)]
+    tails += [PeriodicTail((1.5, 2.5, 3.5, 4.5)[:p]) for p in range(1, 5)]
+    for p in range(4):
+        for tail in tails:
+            w = WeightSequence((0.3, 0.6, 0.9)[:p], tail)
+            ref = [w.value(k) for k in range(1, 2**16)]
+            for n in (0, 1, 2, 3, 64, 1000, 4097, 65535):
+                assert w.values_array(n).tolist() == ref[:n]
 
 
 def test_positivity_enforced():
