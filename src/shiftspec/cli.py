@@ -29,7 +29,6 @@ from .dynamics import (DivergenceError, TruncatedVector, jset_experiment, mixing
 from .jclass import JCLASS, NOT_JCLASS, VERDICT_UNDECIDED, decide
 from .spectra import OperatorSpec, UnsupportedMapError, spectral_picture
 from .svgplot import contour_csv_rows, render_svg
-from .weights import spectral_profile
 
 __all__ = ["main", "load_instance"]
 
@@ -99,9 +98,8 @@ def _override_budget(budget: Budget, args) -> Budget:
 
 def cmd_analyze(args) -> int:
     op, _ = load_instance(args.path)
-    prof = spectral_profile(op.weights)
     picture = spectral_picture(op)
-    _emit({"profile": prof.to_dict(), "picture": picture.to_dict()})
+    _emit({"profile": picture.profile.to_dict(), "picture": picture.to_dict()})
     return 0
 
 
@@ -169,11 +167,10 @@ def cmd_plot(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.contour_csv:
-        prof = op.profile()
         with open(args.contour_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["theta", "re", "im"])
-            for row in contour_csv_rows(op.map, prof.r2):
+            for row in contour_csv_rows(op.map, verdict.profile.r2):
                 writer.writerow([repr(v) for v in row])
     return 0
 

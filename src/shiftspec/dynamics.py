@@ -8,8 +8,9 @@ grow the marker according to which coordinates they consume, and all
 claims in reports and tests are made on exact prefixes only.
 
 Provided here: the shift-power action and its polynomial images, exact
-preimage solvers (one affine scan, run forward for inner factors and
-backward for outer ones, and factor routing for polynomials), the
+preimage solvers (one function per factor kind on one affine scan, run
+forward for inner factors and backward for outer ones; ``solve_poly``
+routes each root to one of them, a zero root to ``preimage_power``), the
 mixing-witness construction with its norm-decay certificate, explicit
 eigenvectors with null-sequence decay, eigenvector span approximation, and
 extended-limit-set membership experiments.
@@ -55,6 +56,8 @@ __all__ = [
 _CALIBRATION_STAGES = 4
 # prefix distance at which jset_experiment counts a target as reached
 _MEMBERSHIP_ERROR = 1e-6
+# |x_k| / ||y|| above which an inner-factor solve counts as diverging
+_DIVERGENCE_GUARD = 1e6
 
 
 class DivergenceError(RuntimeError):
@@ -236,36 +239,32 @@ def _affine_scan(a: np.ndarray, x: np.ndarray) -> None:
             X[:, j] += A[:, j] * X[:, j - 1]
 
 
-def _inner(ws: np.ndarray, zeta: complex, y: TruncatedVector, guard: float) -> TruncatedVector:
-    cap = guard * max(y.sup_norm_full(), 1e-300)
-    x = np.empty(y.size, dtype=complex)
-    x[:1] = 0.0
-    np.divide(y.coords[:-1], ws, out=x[1:])
-    _affine_scan(zeta / ws, x)
-    bad = np.flatnonzero(~(np.abs(x) <= cap))  # a NaN fails too
-    if len(bad):
-        raise DivergenceError(f"inner-factor recurrence exceeded {guard} x ||y|| at k={bad[0] + 1}")
-    return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
-
-
-def solve_factor_inner(
-    w: WeightSequence, zeta: complex, y: TruncatedVector, guard: float = 1e6
-) -> TruncatedVector:
+def solve_factor_inner(w: WeightSequence, zeta: complex, y: TruncatedVector) -> TruncatedVector:
     """Solve (shift - zeta) x = y: the affine recurrence x_1 = 0,
     x_{k+1} = (zeta / w_k) x_k + y_k / w_k, taken by the chunked affine scan
     (sequential inside chunks of at most _SCAN_BLOCK steps, one carry per
-    chunk, O(n) work).
+    chunk, O(n) work) on the weights w_1 .. w_{n-1}.
 
     Needs |zeta| below the inner radius r2: the homogeneous amplification
     per step is zeta / w_k, whose long-run geometric mean is |zeta| / r2
     < 1, so the solution stays bounded.  Transient growth is instance
     dependent, hence the divergence guard instead of a per-instance proof:
     DivergenceError names the first coordinate k with |x_k| not at most
-    guard x ||y|| (a NaN counts as exceeding it)."""
+    _DIVERGENCE_GUARD x ||y|| (a NaN counts as exceeding it)."""
     r2 = spectral_profile(w).r2
     if abs(zeta) >= r2:
         raise ValueError(f"|zeta| = {abs(zeta)} must stay below the inner radius {r2}")
-    return _inner(w.values_array(y.size - 1), zeta, y, guard)
+    ws = w.values_array(y.size - 1)
+    cap = _DIVERGENCE_GUARD * max(y.sup_norm_full(), 1e-300)
+    x = np.empty(y.size, dtype=complex)
+    x[:1] = 0.0
+    np.divide(y.coords[:-1], ws, out=x[1:])
+    _affine_scan(zeta / ws, x)
+    bad = np.flatnonzero(~(np.abs(x) <= cap))  # a NaN fails too
+    if len(bad):
+        raise DivergenceError(
+            f"inner-factor recurrence exceeded {_DIVERGENCE_GUARD} x ||y|| at k={bad[0] + 1}")
+    return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
 
 
 def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
@@ -287,18 +286,6 @@ def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
     return bisect.bisect_left(range(hi + 1), True, lo=hi // 2 + 1, key=stops)
 
 
-def _outer(ws: np.ndarray, r1: float, zeta: complex, y: TruncatedVector, tol: float):
-    az = abs(zeta)
-    if az - r1 < tol:
-        raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
-    # x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0, scanned from the end
-    # of a buffer of -y / zeta: the b_k, and x_N to start from
-    x = np.divide(y.coords, -zeta)
-    _affine_scan((ws / zeta)[::-1], x[::-1])
-    cut = _series_cut(ws, az, y.sup_norm_full(), tol)
-    return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
-
-
 def solve_factor_outer(
     w: WeightSequence, zeta: complex, y: TruncatedVector, tol: float = 1e-12
 ) -> TruncatedVector:
@@ -306,9 +293,19 @@ def solve_factor_outer(
     backward recurrence x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0,
     the affine scan run on reversed arrays.  Its gain per step averages
     r1 / |zeta| < 1, and it returns the resolvent series
-    -sum_j zeta^{-(j+1)} B^j y summed over the whole buffer.  tol sets only
-    the exact prefix, which loses L - 1 coordinates (see _series_cut)."""
-    return _outer(w.values_array(y.size - 1), spectral_profile(w).r1, zeta, y, tol)
+    -sum_j zeta^{-(j+1)} B^j y summed over the whole buffer.  |zeta| must
+    clear r1 by more than tol, and tol sets only the exact prefix, which
+    loses L - 1 coordinates (see _series_cut)."""
+    r1, az = spectral_profile(w).r1, abs(zeta)
+    if az - r1 < tol:
+        raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
+    ws = w.values_array(y.size - 1)
+    # x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0, scanned from the end
+    # of a buffer of -y / zeta: the b_k, and x_N to start from
+    x = np.divide(y.coords, -zeta)
+    _affine_scan((ws / zeta)[::-1], x[::-1])
+    cut = _series_cut(ws, az, y.sup_norm_full(), tol)
+    return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
 
 
 def _root_radius(f: Polynomial, z: complex) -> float:
@@ -346,12 +343,12 @@ def _solver(op: OperatorSpec, tol: float):
     tol_eff = tol / max(1.0, amp)
 
     def solve(y: TruncatedVector) -> TruncatedVector:
-        ws = op.weights.values_array(y.size - 1)
         x = TruncatedVector(y.coords / lead, y.exact_prefix)
         for z in outer:
-            x = _outer(ws, prof.r1, z, x, tol_eff)
+            x = solve_factor_outer(op.weights, z, x, tol_eff)
         for z in inner:
-            x = preimage_power(op.weights, x, 1) if z == 0 else _inner(ws, z, x, 1e6)
+            # a zero root is the plain preimage, which needs no scan
+            x = preimage_power(op.weights, x, 1) if z == 0 else solve_factor_inner(op.weights, z, x)
         return x
 
     return solve

@@ -379,6 +379,10 @@ class Annulus:
         return {"inner": self.inner, "outer": self.outer}
 
 
+# the J-class threshold: condition A asks whether min |f| on the annulus exceeds it
+_THRESHOLD = 1.0
+
+
 @dataclass(frozen=True)
 class CertifiedBound:
     """Certified lower bound for min |f| over a region.
@@ -402,7 +406,7 @@ class CertifiedBound:
     lipschitz_bound: float
     status: str
     min_sampled: float
-    threshold: float = 1.0
+    threshold: float = _THRESHOLD
     inner_winding: tuple[float, WindingResult] | None = field(default=None, compare=False)
 
     @property
@@ -463,14 +467,14 @@ class _CircleScan:
     circle's smallest sample sharpen the samples; they never move the bound.
     """
 
-    def __init__(self, f: HoloMap, ann: Annulus, threshold: float, grid_max: int):
-        self.f, self.threshold, self.grid_max = f, threshold, grid_max
+    def __init__(self, f: HoloMap, ann: Annulus, grid_max: int):
+        self.f, self.grid_max = f, grid_max
         self.tail_err = f.eval_error(ann.outer) + f.eval_round_error(ann.outer)
         self.evals, self.best_val, self.best_pt = 0, math.inf, complex(ann.outer)
 
     @property
     def violation(self) -> bool:
-        return self.best_val + self.tail_err <= self.threshold
+        return self.best_val + self.tail_err <= _THRESHOLD
 
     def floor(self, r: float) -> float:
         """Lower bound for |f| on |z| = r, possibly negative."""
@@ -504,7 +508,7 @@ class _CircleScan:
                              dist - (spread + self.tail_err))
             if self.violation:
                 return min(retired, float(floors.min()))
-            keep = floors <= max(self.threshold, self.best_val - _WIDTH_TARGET)
+            keep = floors <= max(_THRESHOLD, self.best_val - _WIDTH_TARGET)
             if not keep.all():
                 retired = min(retired, float(floors[~keep].min()))
             if not keep.any():
@@ -579,15 +583,14 @@ def min_modulus_on_annulus(
     f: HoloMap,
     ann: Annulus,
     budget: Budget | None = None,
-    threshold: float = 1.0,
 ) -> CertifiedBound:
     """Certified lower bound L for min |f| on the annulus (true min >= L).
 
     Monomials a z^d get the exact closed form |a| inner^d.  Other maps are
     scanned on the boundary circles only (``_CircleScan``, ``_annulus_floor``)
     with a second-order bound per arc, so the evaluations needed grow only
-    logarithmically as min |f| approaches the threshold.  A sample with
-    |f| <= threshold is a violation witness; the result is UNDECIDED when
+    logarithmically as min |f| approaches the J-class threshold 1.  A sample
+    with |f| <= 1 is a violation witness; the result is UNDECIDED when
     the threshold question is still open once the sample budget runs out
     or the arcs near the minimum reach rounding resolution, which is what
     an instance exactly at the threshold gets.
@@ -602,10 +605,10 @@ def min_modulus_on_annulus(
         lb = abs(a) * ann.inner**d if d > 0 else abs(a)
         return CertifiedBound(lb, complex(ann.inner if d > 0 else ann.outer), grid_step=0.0,
                               lipschitz_bound=f.lipschitz_bound(ann.outer), status=CERTIFIED,
-                              min_sampled=lb, threshold=threshold)
+                              min_sampled=lb)
 
     lip_outer = f.lipschitz_bound(ann.outer)
-    scan = _CircleScan(f, ann, threshold, budget.grid_max)
+    scan = _CircleScan(f, ann, budget.grid_max)
     lower, inner_winding = max(0.0, scan.floor(ann.inner)), None
     if ann.inner < ann.outer:
         lower, inner_winding = _annulus_floor(f, ann, scan, lower, budget)
@@ -615,8 +618,8 @@ def min_modulus_on_annulus(
         lower, scan.best_pt,
         grid_step=width * math.sqrt(2.0) / lip_outer if lip_outer > 0 and width > 0 else 0.0,
         lipschitz_bound=lip_outer,
-        status=CERTIFIED if scan.violation or lower > threshold else UNDECIDED,
-        min_sampled=scan.best_val, threshold=threshold, inner_winding=inner_winding)
+        status=CERTIFIED if scan.violation or lower > _THRESHOLD else UNDECIDED,
+        min_sampled=scan.best_val, inner_winding=inner_winding)
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,7 @@ def i_of_adjoint(op: OperatorSpec, budget: Budget | None = None) -> CertifiedBou
     bound from the two boundary circles (``holo.min_modulus_on_annulus``).
     """
     prof = op.check_validity()
-    return min_modulus_on_annulus(
-        op.map, Annulus(prof.r2, prof.r1), budget, threshold=1.0
-    )
+    return min_modulus_on_annulus(op.map, Annulus(prof.r2, prof.r1), budget)
 
 
 KERNEL_TRUE = "TRUE"

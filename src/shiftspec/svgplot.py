@@ -16,6 +16,7 @@ from .spectra import OperatorSpec
 __all__ = ["render_svg", "contour_csv_rows"]
 
 _N_SAMPLES = 512
+_SIZE = 640  # picture width and height in pixels
 
 
 def _fmt(v: float) -> str:
@@ -35,7 +36,7 @@ def _path(points: np.ndarray, sx, sy) -> str:
     return " ".join(cmds) + " Z"
 
 
-def render_svg(op: OperatorSpec, verdict: Verdict | None = None, size: int = 640) -> str:
+def render_svg(op: OperatorSpec, verdict: Verdict | None = None) -> str:
     prof = op.profile()
     curves = {
         "inner image": _circle_points(op.map, prof.r2, _N_SAMPLES),
@@ -47,7 +48,7 @@ def render_svg(op: OperatorSpec, verdict: Verdict | None = None, size: int = 640
         max(float(np.max(np.abs(c))) for c in curves.values()),
     ) * 1.1
 
-    scale = size / (2.0 * extent)
+    scale = _SIZE / (2.0 * extent)
 
     def sx(x: float) -> float:
         return (x + extent) * scale
@@ -56,9 +57,9 @@ def render_svg(op: OperatorSpec, verdict: Verdict | None = None, size: int = 640
         return (extent - y) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         # weight annulus: outer disk filled, inner disk cut back to white
         f'<circle cx="{_fmt(sx(0))}" cy="{_fmt(sy(0))}" r="{_fmt(prof.r1 * scale)}" '
         f'fill="#dce9f5" stroke="#4878a8" stroke-width="1"/>',
@@ -96,9 +97,9 @@ def render_svg(op: OperatorSpec, verdict: Verdict | None = None, size: int = 640
     return "\n".join(parts) + "\n"
 
 
-def contour_csv_rows(f, radius: float, n: int = _N_SAMPLES):
-    """(theta, Re f, Im f) samples of the image of the circle |z| = radius."""
-    theta = np.arange(n) * (2.0 * math.pi / n)
+def contour_csv_rows(f, radius: float):
+    """(theta, Re f, Im f) at _N_SAMPLES points of the image of |z| = radius."""
+    theta = np.arange(_N_SAMPLES) * (2.0 * math.pi / _N_SAMPLES)
     vals = np.asarray(f.eval(radius * np.exp(1j * theta)))
     for t, v in zip(theta, vals):
         yield float(t), float(v.real), float(v.imag)

@@ -480,6 +480,29 @@ def test_solve_poly_root_in_annulus_rejected():
         solve_poly(op, TruncatedVector.ones(16))
 
 
+@pytest.mark.parametrize(
+    "coeffs, routed",
+    [
+        ((4.5, -9.5, 1), {"inner": 1, "outer": 1, "zero": 0}),  # (z - 0.5)(z - 9)
+        ((0, 0.1, 1), {"inner": 1, "outer": 0, "zero": 1}),  # z (z + 0.1)
+        ((0, 1), {"inner": 0, "outer": 0, "zero": 1}),  # the identity
+    ],
+    ids=["inner_outer", "zero_inner", "identity"],
+)
+def test_solve_poly_routes_each_root_to_one_public_solver(monkeypatch, coeffs, routed):
+    # one solve path: every root goes through exactly one public solver
+    calls = dict.fromkeys(routed, 0)
+    for kind, name in (("inner", "solve_factor_inner"), ("outer", "solve_factor_outer"),
+                       ("zero", "preimage_power")):
+        def counted(*args, _fn=getattr(dynamics, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    solve_poly(const_op(2.0, P(*coeffs)), TruncatedVector.ones(64))
+    assert calls == routed
+
+
 # -- mixing witness -------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ as strings; these checks fail as soon as a rename or deletion would break a
 traced benchmark run."""
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,24 @@ def test_layer_exports_resolve(layer):
 def test_traced_methods_are_defined_on_their_class(layer, cls_name, meth):
     cls = getattr(importlib.import_module(f"shiftspec.{layer}"), cls_name)
     assert callable(cls.__dict__.get(meth))
+
+
+# every name a per-layer metric reads spans of
+_METRIC_NAMES = sorted({*tracing.ARG_OF, *tracing.RESULT_OF, *tracing.PROFILE_REQUESTS,
+                        *tracing.EVALS, *tracing.SOLVES})
+
+
+@pytest.mark.parametrize("name", _METRIC_NAMES)
+def test_metric_names_are_traced(name):
+    # a name the tracer never wraps records no span, and its metric reads 0
+    layer, *path = name.split(".")
+    assert layer in tracing.LAYERS
+    mod = importlib.import_module(f"shiftspec.{layer}")
+    obj = mod
+    for part in path:
+        obj = getattr(obj, part)
+    assert callable(obj)
+    if len(path) == 1:
+        assert inspect.isfunction(obj) and path[0] in mod.__all__
+    else:
+        assert (layer, *path) in tracing.METHODS
