@@ -64,7 +64,11 @@ def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
 
 
 def _horner(coeffs: tuple[complex, ...], z):
-    out = np.zeros_like(np.asarray(z, dtype=complex))
+    """f(z); a scalar z runs the same recurrence in ``_horner_scalar`` and
+    comes back a Python complex with the bits a 0-d array would give."""
+    if np.ndim(z) == 0:
+        return _horner_scalar(coeffs, complex(z))[0]
+    out = np.zeros(np.shape(z), complex)
     for a in reversed(coeffs):
         out = out * z + a
     return out
@@ -73,7 +77,7 @@ def _horner(coeffs: tuple[complex, ...], z):
 def _horner_with_derivative(coeffs: tuple[complex, ...], z: np.ndarray):
     """f(z) and f'(z) in one Horner pass; f(z) rounds exactly as ``_horner``."""
     out = np.full(z.shape, coeffs[-1])
-    der = np.zeros_like(out)
+    der = np.zeros(z.shape, complex)
     for a in coeffs[-2::-1]:
         der = der * z + out
         out = out * z + a
@@ -107,6 +111,9 @@ def _coeff_curvature(coeffs: tuple[complex, ...], radius: float) -> float:
 
 
 _EPS = float(np.finfo(float).eps)
+# e^{i k 2 pi / 256}: [1::2] are the circle scan's first 128 arc centres and
+# [::256 // n] the n-point winding grid, bit for bit as np.exp gives them
+_CIRCLE = np.exp(1j * (np.arange(256) * (2.0 * math.pi / 256)))
 
 
 def _round_error(coeffs: tuple[complex, ...], radius: float) -> float:
@@ -166,10 +173,7 @@ class Polynomial:
         """f(z); with ``derivative``, the pair (f(z), f'(z)) for an array z."""
         if derivative:
             return _horner_with_derivative(self.coeffs, z)
-        out = _horner(self.coeffs, z)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return _horner(self.coeffs, z)
 
     def eval_error(self, radius: float) -> float:
         return 0.0
@@ -289,10 +293,7 @@ class Series:
         self._check_domain(z)
         if derivative:
             return _horner_with_derivative(self.coeffs, z)
-        out = _horner(self.coeffs, z)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        return _horner(self.coeffs, z)
 
     def eval_error(self, radius: float) -> float:
         """Upper bound for the truncation error on |z| <= radius."""
@@ -444,8 +445,9 @@ _POLISH_STEPS = 3
 class _CircleScan:
     """1-D branch-and-bound for min |f| on circles |z| = r in an annulus.
 
-    A circle starts as 128 equal arcs.  Write g(t) = f(r e^{it}); on an arc
-    t_c +- h, Taylor's theorem with M = sup |g''| gives
+    A circle starts as 128 equal arcs, centred on the odd points of the
+    table ``_CIRCLE``.  Write g(t) = f(r e^{it}); on an arc t_c +- h,
+    Taylor's theorem with M = sup |g''| gives
 
         |g| >= dist(0, g(t_c) + g'(t_c) [-h, h]) - M h^2 / 2,
 
@@ -482,19 +484,17 @@ class _CircleScan:
         lip = f.lipschitz_bound(r)
         curv = r * lip + r * r * f.second_derivative_bound(r)  # sup |g''|
         slope_err = r * f.derivative_error(r)  # allowance for the computed g'
-        n, arcs = 128, np.arange(128)  # arc k of n spans [k, k + 1] * 2 pi / n
+        n, arcs, z = 128, np.arange(128), r * _CIRCLE[1::2]  # arc k: [k, k + 1] * 2 pi / n
         retired, here = math.inf, (math.inf, 0.0)
         while True:
             step = 2.0 * math.pi / n
             h = 0.5 * step + 4.0 * _EPS  # the slack covers the rounded centres
-            theta = (arcs + 0.5) * step
-            z = r * np.exp(1j * theta)
             val, der = f.eval(z, True)
             mod = np.abs(val)
             self.evals += len(mod)
-            i = int(np.argmin(mod))
+            i = int(mod.argmin())
             if mod[i] < here[0]:
-                here = (float(mod[i]), float(theta[i]))
+                here = (float(mod[i]), (int(arcs[i]) + 0.5) * step)
                 self._sample(here[0], complex(z[i]))
             # distance from 0 to val + i x t, |t| <= h, x = z f'(z), in the
             # frame turning i x onto the real axis; no modulus is squared,
@@ -509,15 +509,17 @@ class _CircleScan:
             if self.violation:
                 return min(retired, float(floors.min()))
             keep = floors <= max(_THRESHOLD, self.best_val - _WIDTH_TARGET)
-            if not keep.all():
-                retired = min(retired, float(floors[~keep].min()))
-            if not keep.any():
+            kept = arcs[keep]
+            if len(kept) < len(arcs):
+                retired = min(retired, float(floors.min(where=~keep, initial=math.inf)))
+            if not len(kept):
                 break
             if self.evals >= self.grid_max or spread <= self.tail_err:
-                retired = min(retired, float(floors[keep].min()))
+                retired = min(retired, float(floors.min(where=keep, initial=math.inf)))
                 break
-            arcs = 2 * arcs[keep]
-            arcs, n = np.concatenate([arcs, arcs + 1]), 2 * n
+            kept *= 2
+            arcs, n = np.concatenate([kept, kept + 1]), 2 * n
+            z = r * np.exp(1j * ((arcs + 0.5) * (2.0 * math.pi / n)))
         self._polish(r, here)
         return retired
 
@@ -662,12 +664,13 @@ def winding_number(
     lip = float(f.lipschitz_bound(radius))
 
     n = min(256, 1 << (budget.winding_max.bit_length() - 1))  # a power of two within the cap
-    phi = f.eval(radius * np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))) - target
+    phi = f.eval(radius * _CIRCLE[::256 // n]) - target
     while True:
         dist = np.abs(phi)
         min_dist = float(dist.min()) - tail_err
         u = phi / np.maximum(dist, 1e-300)  # raw products overflow past |f| ~ 1e154
-        increments = np.angle(np.roll(u, -1) * np.conj(u))
+        turn = np.concatenate((u[1:], u[:1])) * np.conj(u)
+        increments = np.arctan2(turn.imag, turn.real)  # np.angle without its wrapper
         total = float(increments.sum()) / (2.0 * math.pi)
         wind = int(round(total))
         arc = radius * 2.0 * math.pi / n

@@ -37,7 +37,7 @@ def _path(points: np.ndarray, sx, sy) -> str:
 
 
 def render_svg(op: OperatorSpec, verdict: Verdict | None = None) -> str:
-    prof = op.profile()
+    prof = op.profile() if verdict is None else verdict.profile
     curves = {
         "inner image": _circle_points(op.map, prof.r2, _N_SAMPLES),
         "outer image": _circle_points(op.map, prof.r1, _N_SAMPLES),

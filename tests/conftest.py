@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftspec.holo import Polynomial
+from shiftspec.holo import Polynomial, Series
 from shiftspec.spectra import OperatorSpec
 from shiftspec.weights import WeightSequence
 
@@ -23,6 +23,15 @@ def random_poly(rng, max_degree=4, span=2.0):
     degree = int(rng.integers(1, max_degree + 1))
     coeffs = rng.uniform(-span, span, (degree + 1, 2))
     return Polynomial(tuple(complex(a, b) for a, b in coeffs))
+
+
+def random_series(rng, radius, max_degree=4, span=2.0):
+    """A series map evaluable past ``radius``: a random_poly stored part, a
+    tail |a_n| <= B q^n with B <= 0.05, and a validity radius 1.1 to 2
+    times ``radius``."""
+    validity = radius * rng.uniform(1.1, 2.0)
+    return Series(random_poly(rng, max_degree, span).coeffs, rng.uniform(0.0, 0.05),
+                  rng.uniform(0.3, 1.0) / validity, validity)
 
 
 def random_instance(rng, **kw):

@@ -19,6 +19,7 @@ from shiftspec.holo import (
     min_modulus_on_annulus,
     winding_number,
 )
+from shiftspec.holo import _CIRCLE
 
 
 def P(*coeffs):
@@ -141,6 +142,42 @@ def test_eval_with_derivative_matches(rng):
         val, der = f.eval(zs, True)
         assert np.array_equal(val, f.eval(zs))
         assert np.allclose(der, f.derivative().eval(zs), rtol=1e-12, atol=1e-12)
+
+
+def horner_0d(coeffs, z):
+    """The recurrence on a 0-d numpy array, the way scalars were evaluated
+    before they got a plain Python path."""
+    out = np.zeros((), complex)
+    for a in reversed(coeffs):
+        out = out * z + a
+    return out
+
+
+def test_scalar_eval_bit_identical_to_0d_eval():
+    # a scalar comes back as a Python complex with the 0-d array's bits.
+    # A one-element array is no reference: numpy's SIMD complex loops may
+    # fuse multiply and add (AVX-512 hosts), which moves the last bit
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        deg = int(rng.integers(0, 9))
+        mags = 10.0 ** rng.uniform(-3, 3, deg + 1)
+        coeffs = tuple(complex(c) for c in mags * np.exp(2j * math.pi * rng.uniform(size=deg + 1)))
+        z = complex(10.0 ** rng.uniform(-2, 2) * np.exp(2j * math.pi * rng.uniform()))
+        s = Series(coeffs, 1.0, min(0.5, 0.5 / abs(z)), 2.0 * abs(z))
+        for f in (Polynomial(coeffs), s):
+            val, ref = f.eval(z), horner_0d(f.coeffs, z)
+            assert type(val) is complex
+            assert np.array(val).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_circle_table_matches_fresh_grids(n):
+    # the circle scan's first arc centres and the winding grids read the
+    # shared table; each slice must equal np.exp on its own angles bit for bit
+    centres = np.exp(1j * ((np.arange(128) + 0.5) * (2.0 * math.pi / 128)))
+    assert _CIRCLE[1::2].tobytes() == centres.tobytes()
+    grid = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    assert _CIRCLE[:: 256 // n].tobytes() == grid.tobytes()
 
 
 # -- min modulus --------------------------------------------------------

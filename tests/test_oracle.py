@@ -14,6 +14,13 @@ c of the cell, projected on the direction u = conj(F(c)):
 with dF/dr = f'(z) e^{it} and dF/dt = f'(z) i z enclosed over the cell.
 Cells that fall short of the claimed bound are split along their longer
 side.
+
+Series maps are checked on their stored part: every map whose stored
+coefficients match and whose tail obeys |a_n| <= B q^n is admissible, and
+one of them has |f(z)| = |stored part| - eval_error at any given z, so a
+certified bound must clear the stored part by eval_error on each boundary
+circle.  Winding numbers are checked against the roots inside the circle,
+located by mpmath.polyroots at 50 digits.
 """
 import math
 
@@ -22,13 +29,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, threshold_instance
+from conftest import (random_instance, random_poly, random_series, random_weights,
+                      threshold_instance)
 from shiftspec.budget import Budget
-from shiftspec.holo import CERTIFIED, Annulus, Polynomial, min_modulus_on_annulus
-from shiftspec.spectra import i_of_adjoint
-from shiftspec.weights import TwoValueDoublingBlocks
+from shiftspec.holo import CERTIFIED, Annulus, Polynomial, min_modulus_on_annulus, winding_number
+from shiftspec.spectra import OperatorSpec, i_of_adjoint
+from shiftspec.weights import TwoValueDoublingBlocks, spectral_profile
 
-iv = pytest.importorskip("mpmath").iv
+mpmath = pytest.importorskip("mpmath")
+iv = mpmath.iv
 
 N_INSTANCES = 30
 MAX_CELLS = 50_000
@@ -193,3 +202,55 @@ def test_min_modulus_bound_below_dense_samples(coeffs, inner, ratio):
         else:
             assert not answers, "a larger gridMax lost a certified answer"
     assert len(set(answers)) <= 1
+
+
+def _series_instances(n: int, seed: int = 13) -> list:
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n):
+        w = random_weights(rng)
+        ops.append(OperatorSpec(w, random_series(rng, spectral_profile(w).r1)))
+    return ops
+
+
+SERIES_INSTANCES = _series_instances(24)
+
+
+@pytest.mark.parametrize("op", SERIES_INSTANCES,
+                         ids=[f"series{i}" for i in range(len(SERIES_INSTANCES))])
+def test_series_condition_a_bound_holds_for_every_tail(op):
+    prof = op.profile()
+    cert = i_of_adjoint(op)
+    if cert.status == CERTIFIED and cert.lower_bound > 0:
+        for r in {prof.r2, prof.r1}:
+            assert proves_floor(op.map.coeffs, r, r, cert.lower_bound + op.map.eval_error(r))
+
+
+def test_series_instances_certify_positive_bounds():
+    # the series check above is not vacuous
+    certs = [i_of_adjoint(op) for op in SERIES_INSTANCES]
+    assert sum(c.status == CERTIFIED and c.lower_bound > 0 for c in certs) >= 12
+
+
+def root_moduli(coeffs) -> list:
+    """|z| of every root of the polynomial, from mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)],
+                                 maxsteps=200, extraprec=200)
+        return [float(abs(z)) for z in roots]
+
+
+def test_valid_winding_counts_roots_inside():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(200):
+        f = random_poly(rng, max_degree=6)
+        r = rng.uniform(0.3, 2.5)
+        moduli = root_moduli(f.coeffs)
+        if any(abs(m - r) < 1e-6 * r for m in moduli):
+            continue
+        wr = winding_number(f, r, 0j)
+        if wr.valid:
+            assert wr.winding == sum(m < r for m in moduli)
+            checked += 1
+    assert checked >= 150

@@ -46,3 +46,26 @@ def test_metric_names_are_traced(name):
         assert inspect.isfunction(obj) and path[0] in mod.__all__
     else:
         assert (layer, *path) in tracing.METHODS
+
+
+def test_tracer_sees_every_scalar_eval_of_roots(monkeypatch):
+    # holo.eval_calls counts spans of Polynomial.eval; a root polish that
+    # evaluated without going through it would drop its evaluations silently
+    from shiftspec import holo
+
+    scalar_evals = []
+    plain = holo._horner_scalar
+
+    def counting(coeffs, z):
+        scalar_evals.append(z)
+        return plain(coeffs, z)
+
+    monkeypatch.setattr(holo, "_horner_scalar", counting)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for coeffs in ((2, -3, 1), (1, 0, 0, 1j), (0.25, -1, 1)):
+            holo.Polynomial(coeffs).roots()
+    finally:
+        tracer.uninstall()
+    assert tracer.summarize()["holo.eval_calls"] == len(scalar_evals) > 0
