@@ -28,7 +28,8 @@ from .budget import Budget
 from .holo import Polynomial, _horner_scalar
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
-from .weights import WeightSequence, _windows, spectral_profile, window_products
+from .weights import (WeightSequence, _doubling_levels, _windows, spectral_profile,
+                      window_products)
 
 __all__ = [
     "TruncatedVector",
@@ -271,14 +272,25 @@ def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
     """Least L with y_norm * max_k w_k ... w_{k+L-1} / az^L <= tol over the
     windows inside the buffer (none once L reaches its length): an a-priori
     bound on the resolvent series' stop quantity ||B^L y|| / |zeta|^L, in
-    log space, by an exponential search and a bisection."""
+    log space, by an exponential search and a bisection.  Every probe
+    reads the same doubling levels of the log weights, so each level is
+    built once, by the first probe that needs it."""
     if y_norm == 0:
         return 1
     n, logs = len(ws) + 1, np.log(ws)
     bound = (math.log(tol) if tol > 0 else -math.inf) - math.log(y_norm)
+    built, source = [], _doubling_levels(logs, np.add)
+
+    def levels():
+        yield from built
+        for level in source:
+            built.append(level)
+            yield level
 
     def stops(L: int) -> bool:
-        return L >= n or float(_windows(logs, L, n - L, np.add).max()) - L * math.log(az) <= bound
+        if L >= n:
+            return True
+        return float(_windows(logs, L, n - L, np.add, levels()).max()) - L * math.log(az) <= bound
 
     hi = 1
     while not stops(hi):

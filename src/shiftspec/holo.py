@@ -63,11 +63,26 @@ def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
     return tuple(complex(c) for c in coeffs)
 
 
-def _horner(coeffs: tuple[complex, ...], z):
-    """f(z); a scalar z runs the same recurrence in ``_horner_scalar`` and
-    comes back a Python complex with the bits a 0-d array would give."""
-    if np.ndim(z) == 0:
-        return _horner_scalar(coeffs, complex(z))[0]
+def _is_scalar(z) -> bool:
+    """A number or a 0-d array.  Python numbers (numpy's scalars subclass
+    them) and arrays are told apart without ``np.ndim``, whose dispatch
+    costs about as much as a whole scalar Horner evaluation."""
+    if isinstance(z, (complex, float, int)):
+        return True
+    if isinstance(z, np.ndarray):
+        return z.ndim == 0
+    return np.ndim(z) == 0
+
+
+def _horner(coeffs: tuple[complex, ...], z, derivative: bool = False):
+    """f(z), or with ``derivative`` the pair (f(z), f'(z)).  A scalar z runs
+    the same recurrence in ``_horner_scalar`` and comes back as Python
+    complex numbers with the bits a 0-d array would give."""
+    if _is_scalar(z):
+        f0, f1, _ = _horner_scalar(coeffs, complex(z))
+        return (f0, f1) if derivative else f0
+    if derivative:
+        return _horner_with_derivative(coeffs, z)
     out = np.zeros(np.shape(z), complex)
     for a in reversed(coeffs):
         out = out * z + a
@@ -133,6 +148,43 @@ def _derivative_round_error(coeffs: tuple[complex, ...], radius: float) -> float
     return _round_error(tuple(n * c for n, c in enumerate(coeffs))[1:], radius)
 
 
+def _quadratic_roots(c: complex, b: complex, a: complex) -> list[complex]:
+    """Roots of a z^2 + b z + c, a and c nonzero, by the stable quadratic
+    formula: q = -(b + d) / 2 with the square root d of the discriminant
+    signed so that b and d do not cancel, then q / a and c / q.  The
+    coefficients are first scaled by a power of two (exactly) to a largest
+    modulus in [1/2, 1), so b^2 and 4ac stay in range.  The root of larger
+    modulus comes first, a tie going to the larger imaginary part (+i before
+    -i for 1 + z^2)."""
+    s = math.ldexp(1.0, -math.frexp(max(abs(a), abs(b), abs(c)))[1])
+    a, b, c = a * s, b * s, c * s
+    d = cmath.sqrt(b * b - 4.0 * a * c)
+    if b.real * d.real + b.imag * d.imag < 0:
+        d = -d
+    q = -0.5 * (b + d)
+    big, small = q / a, c / q
+    return [big, small] if (abs(big), big.imag) >= (abs(small), small.imag) else [small, big]
+
+
+def _root_seeds(coeffs: tuple[complex, ...]) -> list[complex]:
+    """Root seeds of a polynomial with nonzero first and last coefficients:
+    numpy's quotient -a_0 / a_1 for degree 1 (bit for bit the eigenvalue of
+    ``np.roots``' 1 x 1 companion matrix), ``_quadratic_roots`` for degree 2
+    and, from degree 3, the eigenvalues of the companion matrix built exactly
+    as ``np.roots`` builds it."""
+    degree = len(coeffs) - 1
+    if degree == 0:
+        return []
+    if degree == 1:
+        return [complex(np.complex128(-coeffs[0]) / coeffs[1])]
+    if degree == 2:
+        return _quadratic_roots(*coeffs)
+    p = np.array(coeffs[::-1])
+    companion = np.diag(np.ones(degree - 1, complex), -1)
+    companion[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion).tolist()
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Polynomial in ascending coefficient order; trailing zeros stripped."""
@@ -170,10 +222,8 @@ class Polynomial:
         return None
 
     def eval(self, z, derivative: bool = False):
-        """f(z); with ``derivative``, the pair (f(z), f'(z)) for an array z."""
-        if derivative:
-            return _horner_with_derivative(self.coeffs, z)
-        return _horner(self.coeffs, z)
+        """f(z); with ``derivative``, the pair (f(z), f'(z))."""
+        return _horner(self.coeffs, z, derivative)
 
     def eval_error(self, radius: float) -> float:
         return 0.0
@@ -204,35 +254,31 @@ class Polynomial:
     def roots(self) -> list[complex]:
         """All complex roots with multiplicity, Newton-polished.
 
-        Companion-matrix seeds from numpy, each refined until the residual
-        clears 1e-10 * (1 + max |coeff|), and accepted within that target
-        plus Horner's rounding allowance at the root's own modulus.
+        Exact zero roots come last, as in ``np.roots``; ``_root_seeds``
+        starts the others.  Newton refines each seed, with one evaluation of
+        f and f' per step, until the residual clears 1e-10 * (1 + max
+        |coeff|), and the root is accepted within that target plus Horner's
+        rounding allowance at its own modulus.  No root is a signed zero.
         """
         if self.degree < 1:
             raise ValueError("roots are defined for degree >= 1 polynomials")
-        seeds = np.roots(np.asarray(self.coeffs[::-1], dtype=complex))
-        deriv = self.derivative()
-        roots = []
-        scale = 1.0 + max(abs(c) for c in self.coeffs)
-        target = 1e-10 * scale
-        residuals = []
-        for z in seeds:
-            z = complex(z)
+        zeros = next(k for k, c in enumerate(self.coeffs) if c != 0)
+        target = 1e-10 * (1.0 + max(abs(c) for c in self.coeffs))
+        roots, residuals = [], []
+        for z in _root_seeds(self.coeffs[zeros:]):
+            fz, dz = self.eval(z, derivative=True)
             for _ in range(8):
-                fz = self.eval(z)
-                if abs(fz) <= 0.25 * target:
-                    break
-                dz = deriv.eval(z)
-                if dz == 0:
+                if abs(fz) <= 0.25 * target or dz == 0:
                     break
                 z = z - fz / dz
-            roots.append(z)
-            residuals.append(abs(self.eval(z)))
+                fz, dz = self.eval(z, derivative=True)
+            roots.append(complex(z.real + 0.0, z.imag + 0.0))  # -0.0 + 0.0 is +0.0
+            residuals.append(abs(fz))
         if any(r > target + self.eval_round_error(abs(z)) for z, r in zip(roots, residuals)):
             raise RootRefinementError(
                 f"root refinement residuals {residuals} exceed {target}"
             )
-        return roots
+        return roots + [0j] * zeros
 
     def to_dict(self) -> dict:
         return {"kind": "poly", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -281,19 +327,16 @@ class Series:
         return None
 
     def _check_domain(self, z) -> None:
-        if np.max(np.abs(z)) >= self.validity_radius:
+        if (abs(z) if _is_scalar(z) else np.max(np.abs(z))) >= self.validity_radius:
             raise DomainError(
                 f"|z| >= validity radius {self.validity_radius}"
             )
 
     def eval(self, z, derivative: bool = False):
-        """Stored part of f at z; with ``derivative``, the pair (f(z), f'(z))
-        for an array z.  ``eval_error`` and ``derivative_error`` bound the
-        neglected tails."""
+        """Stored part of f at z; with ``derivative``, the pair (f(z), f'(z)).
+        ``eval_error`` and ``derivative_error`` bound the neglected tails."""
         self._check_domain(z)
-        if derivative:
-            return _horner_with_derivative(self.coeffs, z)
-        return _horner(self.coeffs, z)
+        return _horner(self.coeffs, z, derivative)
 
     def eval_error(self, radius: float) -> float:
         """Upper bound for the truncation error on |z| <= radius."""

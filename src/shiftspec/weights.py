@@ -9,7 +9,8 @@ associated shift operators available in closed form:
   r2 = lim_n inf_k (w_k ... w_{k+n-1})^{1/n}   (inner radius)
   r3 = liminf_n (w_1 ... w_n)^{1/n}            (leading-window radius)
 
-Window products come from one doubling reduction, ``_windows``:
+Window products come from one doubling reduction, ``_windows``, over the
+levels that ``_doubling_levels`` builds:
 ``window_products`` multiplies the weights (exact for power-of-two weights,
 overflowing only where a window's product leaves float range) and
 ``log_window_products`` adds their logs, for kappa's windows of thousands
@@ -204,23 +205,34 @@ class WeightSequence:
         return cls(tuple(d.get("prefix", ())), _tail_from_dict(d["tail"]))
 
 
-def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc) -> np.ndarray:
+def _doubling_levels(a: np.ndarray, op: np.ufunc):
+    """a, then the op-reductions of its windows of length 2, 4, 8, ...,
+    each level built on demand from two shifted copies of the one before."""
+    length = 1
+    while True:
+        yield a
+        a = op(a[:-length], a[length:])
+        length *= 2
+
+
+def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None) -> np.ndarray:
     """op-reductions of the windows a[k : k + n], k = 0..count-1, by doubling:
-    the length-2^(i+1) windows combine two shifted copies of the length-2^i
-    ones, and the set bits of n pick the lengths that make up each window.
-    Every intermediate reduces a sub-window, so with np.multiply nothing
-    overflows unless a window of at most n values does."""
+    the set bits of n pick the levels of ``_doubling_levels(a, op)`` that
+    make up each window, and no level past the longest of them is built.
+    ``levels``, if given, is an iterable of those same levels, for a caller
+    that keeps them across window lengths.  Every intermediate reduces a
+    sub-window, so with np.multiply nothing overflows unless a window of at
+    most n values does."""
     if n < 0:
         raise ValueError("window length must be >= 0")
     out = np.full(count, float(op.identity))
     done, length = 0, 1
-    while True:
-        if n & length:
-            op(out, a[done : done + count], out=out)
+    for level in _doubling_levels(a, op) if levels is None else levels:
+        if n & length:  # level holds the length-`length` windows
+            op(out, level[done : done + count], out=out)
             done += length
         if 2 * length > n:
             return out
-        a = op(a[:-length], a[length:])
         length *= 2
 
 

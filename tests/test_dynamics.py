@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import inspect
 import math
@@ -415,6 +416,55 @@ def test_outer_scan_matches_series(n, w, clearance, theta, log_tol, seed):
     shifted = np.append(w.values_array(n - 1) * x.coords[1:], 0j)
     residual = np.abs(shifted - zeta * x.coords - y.coords)
     assert np.max(residual) <= 1e-12 * np.max(np.abs(shifted) + abs(zeta) * np.abs(x.coords) + np.abs(y.coords))
+
+
+def _windows_per_probe(a, n, count):
+    """Log window sums the way every probe of the series cut once built
+    them: all doubling levels from scratch, none kept for the next probe."""
+    out = np.zeros(count)
+    done, length = 0, 1
+    while True:
+        if n & length:
+            np.add(out, a[done : done + count], out=out)
+            done += length
+        if 2 * length > n:
+            return out
+        a = np.add(a[:-length], a[length:])
+        length *= 2
+
+
+def reference_series_cut(ws, az, y_norm, tol):
+    if y_norm == 0:
+        return 1
+    n, logs = len(ws) + 1, np.log(ws)
+    bound = (math.log(tol) if tol > 0 else -math.inf) - math.log(y_norm)
+
+    def stops(L):
+        return L >= n or float(_windows_per_probe(logs, L, n - L).max()) - L * math.log(az) <= bound
+
+    hi = 1
+    while not stops(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo=hi // 2 + 1, key=stops)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257, 4097])
+@pytest.mark.parametrize("kind", ["constant", "periodic", "blocks"])
+def test_series_cut_matches_per_probe_reference(n, kind):
+    # the kept doubling levels give the same sums, so the same cut L, for
+    # prefixes of up to 6 weights in [0.01, 100], |zeta| in (r1, 4 r1) and
+    # tol from 1e-15 to 1e-3
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        prefix = tuple(10.0 ** rng.uniform(-2, 2, int(rng.integers(0, 7))))
+        values = rng.uniform(0.5, 4.0, 3)
+        w = {"constant": lambda: WeightSequence.constant(values[0], prefix),
+             "periodic": lambda: WeightSequence.periodic(values[: int(rng.integers(1, 4))], prefix),
+             "blocks": lambda: WeightSequence.doubling_blocks(values[0], values[1], prefix)}[kind]()
+        az = spectral_profile(w).r1 * rng.uniform(1.0, 4.0)
+        tol, y_norm = 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(-3, 3)
+        ws = w.values_array(n - 1)
+        assert dynamics._series_cut(ws, az, y_norm, tol) == reference_series_cut(ws, az, y_norm, tol)
 
 
 def test_outer_factor_zero_keeps_prefix():

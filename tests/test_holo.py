@@ -19,7 +19,7 @@ from shiftspec.holo import (
     min_modulus_on_annulus,
     winding_number,
 )
-from shiftspec.holo import _CIRCLE
+from shiftspec.holo import _CIRCLE, _root_seeds
 
 
 def P(*coeffs):
@@ -425,6 +425,43 @@ def test_roots_large_root_within_rounding_allowance():
     for z in rs:
         assert abs(f.eval(z)) <= target + f.eval_round_error(abs(z))
         assert min(abs(reference - z)) <= 1e-12 * max(1.0, abs(z))
+
+
+def test_roots_seeds_match_numpy(rng):
+    # degree 1 is numpy's quotient, bit for bit, and so are the companion
+    # eigenvalues from degree 3; degree 1 needs no Newton step
+    for _ in range(200):
+        c = tuple(complex(a, b) for a, b in rng.uniform(-2, 2, (2, 2)) * 10.0 ** rng.uniform(-5, 5))
+        assert P(*c).roots() == np.roots(c[::-1]).tolist()
+    for degree in (3, 4, 6):
+        c = tuple(complex(a, b) for a, b in rng.uniform(-2, 2, (degree + 1, 2)))
+        assert _root_seeds(c) == np.roots(c[::-1]).tolist()
+
+
+def test_roots_quadratic_order_and_range():
+    # larger modulus first, a modulus tie to the larger imaginary part; the
+    # scaled formula stays finite where b^2 would overflow
+    assert P(2, -3, 1).roots() == [2.0, 1.0]
+    assert P(1, 0, 1).roots() == [1j, -1j]
+    assert P(1e160, 0, 1e160).roots() == [1j, -1j]
+    assert P(1e300, 3e300, 1e300).roots() == pytest.approx([-2.618033988749895, -0.3819660112501051])
+    assert P(0.25, -1, 1).roots() == [0.5, 0.5]
+    assert P(0, 0, 1).roots() == [0j, 0j]
+    assert P(0, 2, 1).roots() == [-2.0, 0j]
+
+
+def test_scalar_eval_with_derivative_matches_arrays(rng):
+    f = random_poly(rng, max_degree=5)
+    s = Series(f.coeffs, 0.01, 0.1, 5.0)
+    zs = rng.uniform(-2, 2, 16) + 1j * rng.uniform(-2, 2, 16)
+    for g in (f, s):
+        val, der = g.eval(zs, True)
+        for k, z in enumerate(zs.tolist()):
+            fz, dz = g.eval(z, derivative=True)
+            assert type(fz) is complex and type(dz) is complex
+            assert fz == pytest.approx(val[k], rel=1e-14) and dz == pytest.approx(der[k], rel=1e-14)
+    with pytest.raises(DomainError):
+        s.eval(5.0 + 0j, derivative=True)
 
 
 def test_roots_series_unsupported():

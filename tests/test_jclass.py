@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from shiftspec.jclass import (
     perturbation_stability,
     product_preserves_jclass,
 )
-from shiftspec.spectra import OperatorSpec, UnsupportedMapError, i_of_adjoint
+from shiftspec.cli import load_instance
+from shiftspec.spectra import KERNEL_TRUE, OperatorSpec, UnsupportedMapError, i_of_adjoint
 from shiftspec.weights import (
     ConstantTail,
     PeriodicTail,
@@ -249,6 +251,39 @@ def test_cross_check_randomized(rng):
         # the shared condition-A certificate changes neither route's verdict
         assert rep.geometric.to_dict() == decide_geometric(op).to_dict()
         assert rep.moduli.to_dict() == decide_moduli(op).to_dict()
+
+
+def zero_in_spectrum_evidence(op, verdict) -> bool:
+    """Whether a JCLASS verdict shows 0 in the spectrum of f(B_w): a valid
+    winding >= 1 of f about 0 on |z| = r2 puts a root of f inside the disk
+    of radius r2, which lies in the spectrum of B_w, so 0 = f(root) is in
+    the spectrum of f(B_w); a kernel root z of f with |z| < r3 is an
+    eigenvalue of B_w, so f(B_w) has a kernel."""
+    cover, ker, prof = verdict.condition_b, verdict.kernel, verdict.profile
+    if cover is not None and cover.winding.valid and cover.winding.winding >= 1:
+        return any(abs(z) < prof.r2 for z in op.map.roots())
+    if ker is not None and ker.status == KERNEL_TRUE and ker.root is not None:
+        f, z = op.map, ker.root
+        target = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
+        return abs(z) < prof.r3 and abs(f.eval(z)) <= target + f.eval_round_error(abs(z))
+    return False
+
+
+def test_no_invertible_jclass_operator(rng):
+    # the paper: no invertible operator on l^inf is J-class, so every JCLASS
+    # verdict of either route must come with evidence that f(B_w) is not
+    # invertible
+    instances = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.json"))
+    ops = [random_instance(rng) for _ in range(150)] + [load_instance(str(path))[0]
+                                                        for path in instances]
+    jclass = 0
+    for op in ops:
+        rep = cross_check(op)
+        for verdict in (rep.geometric, rep.moduli):
+            if verdict.decision == JCLASS:
+                jclass += 1
+                assert zero_in_spectrum_evidence(op, verdict), verdict.to_dict()
+    assert jclass >= 100
 
 
 def count_condition_a(monkeypatch) -> list:

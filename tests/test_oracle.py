@@ -20,8 +20,10 @@ coefficients match and whose tail obeys |a_n| <= B q^n is admissible, and
 one of them has |f(z)| = |stored part| - eval_error at any given z, so a
 certified bound must clear the stored part by eval_error on each boundary
 circle.  Winding numbers are checked against the roots inside the circle,
-located by mpmath.polyroots at 50 digits.
+located by mpmath.polyroots at 50 digits, and Polynomial.roots against the
+same roots, each within twice the radius its residual proves.
 """
+import itertools
 import math
 
 import numpy as np
@@ -254,3 +256,64 @@ def test_valid_winding_counts_roots_inside():
             assert wr.winding == sum(m < r for m in moduli)
             checked += 1
     assert checked >= 150
+
+
+def _exact_roots(coeffs) -> list:
+    """Every root of the float polynomial, from mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)],
+                                maxsteps=400, extraprec=400)
+
+
+def _root_radius(coeffs, z) -> float:
+    """Radius about z that holds a root, from the residual r = |f(z)| at 50
+    digits: (r / |a_d|)^(1/d) by the product form, and d r / |f'(z)| since
+    f'/f = sum 1/(z - root)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z.real, z.imag)
+        f0 = f1 = mpmath.mpc(0)
+        for a in reversed(coeffs):
+            f1 = f1 * z + f0
+            f0 = f0 * z + mpmath.mpc(a.real, a.imag)
+        d = len(coeffs) - 1
+        rho = (abs(f0) / abs(mpmath.mpc(coeffs[-1].real, coeffs[-1].imag))) ** (mpmath.mpf(1) / d)
+        if f1 != 0:
+            rho = min(rho, d * abs(f0) / abs(f1))
+        return float(rho)
+
+
+_moduli = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)  # 0.1 to 10, log-uniform
+_angles = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, 2 * math.pi))
+_planted = st.builds(lambda m, t: m * complex(math.cos(t), math.sin(t)), _moduli, _angles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    planted=st.lists(_planted, min_size=1, max_size=4),
+    double=st.booleans(),
+    lead=st.builds(lambda e, t: 10.0**e * complex(math.cos(t), math.sin(t)),
+                   st.floats(-3.0, 0.0), _angles),
+    zeros=st.integers(0, 2),
+    scale=st.sampled_from([1e-150, 1e-50, 1.0, 1e50, 1e150]),
+)
+def test_roots_match_mpmath(planted, double, lead, zeros, scale):
+    # degree 1-4 with planted roots, a double root, a small leading
+    # coefficient, zero roots and overall scales of 1e+-150: every root
+    # passes the acceptance test and lies within its residual's radius of
+    # its own exact root, one exact root for each computed one
+    if double and len(planted) > 1:
+        planted[1] = planted[0]
+    desc = np.poly(planted) * lead * scale
+    f = Polynomial((0j,) * zeros + tuple(complex(c) for c in desc[::-1]))
+    roots = f.roots()
+    assert len(roots) == f.degree
+    assert roots[len(roots) - zeros:] == [0j] * zeros
+    assert not any(math.copysign(1.0, x) < 0 for z in roots for x in (z.real, z.imag) if x == 0)
+    target = 1e-10 * (1.0 + max(abs(c) for c in f.coeffs))
+    for z in roots:
+        assert abs(f.eval(z)) <= target + f.eval_round_error(abs(z))
+    exact = _exact_roots(f.coeffs)
+    reach = [2.0 * _root_radius(f.coeffs, z) + 1e-20 * (1.0 + abs(z)) for z in roots]
+    assert any(all(abs(mpmath.mpc(z.real, z.imag) - exact[j]) <= t
+                   for z, t, j in zip(roots, reach, perm))
+               for perm in itertools.permutations(range(len(exact))))

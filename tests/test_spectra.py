@@ -124,6 +124,14 @@ def test_kernel_roots_inside():
     assert rep.eigenvector["kind"] == "eigenvector"
 
 
+def test_kernel_root_of_one_plus_z_squared_is_plus_i():
+    # the roots +-i tie in modulus; the quadratic seeds list +i first, so the
+    # kernel reports it, exactly and without a signed zero in the JSON
+    rep = kernel_nontrivial(const_op(1.5, P(1, 0, 1)))
+    assert rep.root == 1j
+    assert [math.copysign(1.0, x) for x in rep.to_dict()["root"]] == [1.0, 1.0]
+
+
 def test_kernel_gray_zone_inconclusive():
     w = WeightSequence.doubling_blocks(2.0, 1.0)  # r3 ~ 1.26, r1 = 2
     rep = kernel_nontrivial(OperatorSpec(w, P(-1.5, 1)))

@@ -64,7 +64,17 @@ def test_tracer_sees_every_scalar_eval_of_roots(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for coeffs in ((2, -3, 1), (1, 0, 0, 1j), (0.25, -1, 1)):
+        # each seed path: a zero root stripped before a degree-1 seed, the
+        # quadratic formula (also at 1e160, past the range of raw squares),
+        # companion eigenvalues for cubics, and a quartic whose root near
+        # 691 takes Newton steps
+        for coeffs in ((2, -3, 1), (1, 0, 0, 1j), (0.25, -1, 1), (0, -2, 1),
+                       (1e160, 0, 1e160), (1, 2, 3, 4),
+                       (0.8938622079538034 - 0.351737360012764j,
+                        -0.1613106291217945 + 0.7145541223598708j,
+                        -0.06477370334527777 + 1.7295332262086887j,
+                        -1.250702409194358 - 1.4460676452117127j,
+                        0.002604151556353518 + 0.0009211163378552989j)):
             holo.Polynomial(coeffs).roots()
     finally:
         tracer.uninstall()
