@@ -189,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     grid = (
-        ("--budget-grid", "grid_max", int, "condition-A evaluations, checked after each "
-         "halving pass (each circle scans 128 arcs first)"),
+        ("--budget-grid", "grid_max", int, "max condition-A evaluations; only each circle's "
+         "128-point first pass and its at most 3 Newton steps can exceed it"),
         ("--budget-winding", "winding_max", int, "max contour samples; the first grid "
          "has at most 256"),
     )

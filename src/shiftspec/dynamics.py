@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import Budget
-from .holo import Polynomial, _horner_scalar
+from .holo import Polynomial
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
 from .weights import (WeightSequence, _doubling_levels, _windows, spectral_profile,
@@ -324,7 +324,7 @@ def _root_radius(f: Polynomial, z: complex) -> float:
     """Radius about z that holds a root of f.  With |f(z)| <= res (Horner's
     rounding allowance included), the product form gives (res / |a_d|)^(1/d)
     and f'/f = sum 1/(z - root) gives d res / |f'(z)|."""
-    fz, dfz, _ = _horner_scalar(f.coeffs, z)
+    fz, dfz = f.eval(z, derivative=True)
     res = abs(fz) + f.eval_round_error(abs(z))
     rho = (res / abs(f.coeffs[-1])) ** (1.0 / f.degree)
     return min(rho, f.degree * res / abs(dfz)) if dfz else rho

@@ -138,8 +138,11 @@ def _round_error(coeffs: tuple[complex, ...], radius: float) -> float:
     clearance than this, otherwise the verdict would encode noise.
     """
     mag = 0.0
-    for n, c in enumerate(coeffs):
-        mag += abs(c) * radius**n
+    try:
+        for n, c in enumerate(coeffs):
+            mag += abs(c) * radius**n
+    except OverflowError:  # radius**n past the float range: no allowance is finite
+        return math.inf
     return 4.0 * (len(coeffs) + 2) * _EPS * mag
 
 
@@ -478,19 +481,31 @@ class CertifiedBound:
 
 
 # certification width (gap between the smallest sampled value and the
-# certified lower bound) that arc refinement aims for; the grid_max budget
-# also stops it, checked after each halving pass (see _CircleScan)
+# certified lower bound) that arc refinement aims for; no refinement pass
+# takes the scan past grid_max (see _CircleScan)
 _WIDTH_TARGET = 1e-3
 # Newton steps on |f|^2 along the circle from a circle's smallest sample
 _POLISH_STEPS = 3
+# points in a circle's first scan pass (the odd points of _CIRCLE), and the
+# most a refinement pass fills when it splits few arcs: a pass costs about as
+# much numpy dispatch at 4 points as at 128, so splitting a few arcs several
+# levels deep at once saves the passes that halving one level at a time takes
+_PASS_POINTS = 128
+
+
+def _fold_min(lo: float, floors: np.ndarray, where) -> float:
+    """min(lo, floors[where]), or -inf once one of those floors is NaN: an
+    arc whose floor could not be computed is bounded by nothing."""
+    m = float(floors.min(where=where, initial=math.inf))
+    return min(lo, m) if m == m else -math.inf
 
 
 class _CircleScan:
     """1-D branch-and-bound for min |f| on circles |z| = r in an annulus.
 
-    A circle starts as 128 equal arcs, centred on the odd points of the
-    table ``_CIRCLE``.  Write g(t) = f(r e^{it}); on an arc t_c +- h,
-    Taylor's theorem with M = sup |g''| gives
+    A circle starts as _PASS_POINTS = 128 equal arcs, centred on the odd
+    points of the table ``_CIRCLE``.  Write g(t) = f(r e^{it}); on an arc
+    t_c +- h, Taylor's theorem with M = sup |g''| gives
 
         |g| >= dist(0, g(t_c) + g'(t_c) [-h, h]) - M h^2 / 2,
 
@@ -499,17 +514,26 @@ class _CircleScan:
     and the first-order |g(t_c)| - lip r h, less the evaluation allowance
     for g and h times that for g'.  f and f' come from one Horner pass.
     Arcs floored above max(threshold, smallest sample - _WIDTH_TARGET) are
-    retired and the rest halved, until none remain, a sample witnesses
-    |f| <= threshold, or all circles together have spent grid_max
-    evaluations, a budget checked after each halving pass: every circle
-    scans its first 128 arcs, ends its pass and takes its Newton steps
-    (below), so 1 + z^2 at its exact threshold spends 131 evaluations on a
-    circle and 262 on an annulus at grid_max 64.  Halving stops once the g'
-    allowance times h plus M h^2 / 2 is within the evaluation allowance: no
-    split can then lift a floor by more than rounding noise, so the open
-    arcs retire into the bound and an instance at the threshold comes back
-    UNDECIDED.  Without a witness, a few Newton steps on |g|^2 from the
-    circle's smallest sample sharpen the samples; they never move the bound.
+    retired (a NaN floor never is) and each of the rest is split into 2^k
+    equal sub-arcs, the ones k halvings would make, in one pass: k is the
+    largest that keeps the pass within 128 points (k = 1 when more than 64
+    arcs are open) and goes no finer than the first level where the g'
+    allowance times h plus M h^2 / 2 is within the evaluation allowance.
+    This goes on until no arc is open or a sample witnesses |f| <= threshold.
+    Once the open arcs reach that rounding resolution, no split can lift a
+    floor by more than rounding noise, so they retire into the bound and an
+    instance at the threshold comes back UNDECIDED.  grid_max bounds the
+    evaluations of all circles together: a pass that would go past it takes
+    the largest k that fits instead and is the circle's last, and when not
+    even a halving fits, the open arcs retire as at resolution.  Until the
+    budget cuts a pass, a larger grid_max makes the same passes, and its
+    cut pass is never coarser (a cut pass that went on could end finer at
+    a smaller budget than at a larger one).  Only each circle's 128-point
+    first pass and its Newton steps (below) can take a scan past grid_max:
+    1 + z^2 at its exact threshold spends 131 evaluations on a circle and
+    262 on an annulus at grid_max 64.  Without a witness, at most
+    _POLISH_STEPS Newton steps on |g|^2 from the circle's smallest sample
+    sharpen the samples; they never move the bound.
     """
 
     def __init__(self, f: HoloMap, ann: Annulus, grid_max: int):
@@ -527,17 +551,24 @@ class _CircleScan:
         lip = f.lipschitz_bound(r)
         curv = r * lip + r * r * f.second_derivative_bound(r)  # sup |g''|
         slope_err = r * f.derivative_error(r)  # allowance for the computed g'
-        n, arcs, z = 128, np.arange(128), r * _CIRCLE[1::2]  # arc k: [k, k + 1] * 2 pi / n
-        retired, here = math.inf, (math.inf, 0.0)
+
+        def spread(n: int) -> tuple[float, float]:
+            """Half-width h of the arcs of level n and the second-order
+            terms slope_err h + curv h^2 / 2 on them."""
+            h = 0.5 * (2.0 * math.pi / n) + 4.0 * _EPS  # the slack covers the rounded centres
+            return h, slope_err * h + 0.5 * curv * h * h
+
+        # arc k of level n is [k, k + 1] * 2 pi / n
+        n, arcs, z = _PASS_POINTS, np.arange(_PASS_POINTS), r * _CIRCLE[1::2]
+        retired, here, last = math.inf, (math.inf, 0.0), False
         while True:
-            step = 2.0 * math.pi / n
-            h = 0.5 * step + 4.0 * _EPS  # the slack covers the rounded centres
+            h, err = spread(n)
             val, der = f.eval(z, True)
             mod = np.abs(val)
             self.evals += len(mod)
             i = int(mod.argmin())
             if mod[i] < here[0]:
-                here = (float(mod[i]), (int(arcs[i]) + 0.5) * step)
+                here = (float(mod[i]), (int(arcs[i]) + 0.5) * (2.0 * math.pi / n))
                 self._sample(here[0], complex(z[i]))
             # distance from 0 to val + i x t, |t| <= h, x = z f'(z), in the
             # frame turning i x onto the real axis; no modulus is squared,
@@ -546,22 +577,25 @@ class _CircleScan:
             speed = np.abs(x)
             v = val * (np.conj(x) / np.maximum(speed, 1e-300))
             dist = np.hypot(np.maximum(np.abs(v.imag) - speed * h, 0.0), v.real)
-            spread = slope_err * h + 0.5 * curv * h * h
             floors = np.fmax(mod - (lip * r * h + self.tail_err),
-                             dist - (spread + self.tail_err))
+                             dist - (err + self.tail_err))
             if self.violation:
-                return min(retired, float(floors.min()))
-            keep = floors <= max(_THRESHOLD, self.best_val - _WIDTH_TARGET)
+                return _fold_min(retired, floors, True)
+            keep = ~(floors > max(_THRESHOLD, self.best_val - _WIDTH_TARGET))
             kept = arcs[keep]
             if len(kept) < len(arcs):
-                retired = min(retired, float(floors.min(where=~keep, initial=math.inf)))
+                retired = _fold_min(retired, floors, ~keep)
             if not len(kept):
                 break
-            if self.evals >= self.grid_max or spread <= self.tail_err:
-                retired = min(retired, float(floors.min(where=keep, initial=math.inf)))
+            if err <= self.tail_err or last or self.evals + 2 * len(kept) > self.grid_max:
+                retired = _fold_min(retired, floors, keep)
                 break
-            kept *= 2
-            arcs, n = np.concatenate([kept, kept + 1]), 2 * n
+            k = 1
+            while len(kept) << (k + 1) <= _PASS_POINTS and spread(n << k)[1] > self.tail_err:
+                k += 1
+            room = (self.grid_max - self.evals) // len(kept)  # sub-arcs per arc within grid_max
+            last, k = room < 1 << k, min(k, room.bit_length() - 1)
+            arcs, n = ((kept << k)[:, None] + np.arange(1 << k)).ravel(), n << k
             z = r * np.exp(1j * ((arcs + 0.5) * (2.0 * math.pi / n)))
         self._polish(r, here)
         return retired
@@ -638,11 +672,15 @@ def min_modulus_on_annulus(
     with |f| <= 1 is a violation witness; the result is UNDECIDED when
     the threshold question is still open once the sample budget runs out
     or the arcs near the minimum reach rounding resolution, which is what
-    an instance exactly at the threshold gets.
+    an instance exactly at the threshold gets.  A map whose rounding
+    allowance on the annulus overflows is refused with ValueError: no float
+    evaluation there could certify anything.
     """
     budget = budget or Budget()
     if isinstance(f, Series) and ann.outer >= f.validity_radius:
         raise DomainError("annulus exceeds the series validity disk")
+    if not math.isfinite(f.eval_round_error(ann.outer)):
+        raise ValueError(f"sum |a_n| r^n at r = {ann.outer} overflows the float range")
 
     mono = f.monomial_form()
     if mono is not None:
@@ -715,6 +753,9 @@ def winding_number(
         turn = np.concatenate((u[1:], u[:1])) * np.conj(u)
         increments = np.arctan2(turn.imag, turn.real)  # np.angle without its wrapper
         total = float(increments.sum()) / (2.0 * math.pi)
+        if not (math.isfinite(total) and math.isfinite(min_dist)):
+            # a sample or the allowance overflowed: no grid can certify
+            return WindingResult(0, False, n, 0.0)
         wind = int(round(total))
         arc = radius * 2.0 * math.pi / n
         ok = (

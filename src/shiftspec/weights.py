@@ -225,11 +225,15 @@ def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None) -> np
     most n values does."""
     if n < 0:
         raise ValueError("window length must be >= 0")
-    out = np.full(count, float(op.identity))
-    done, length = 0, 1
+    if n == 0:
+        return np.full(count, float(op.identity))
+    out, done, length = None, 0, 1
     for level in _doubling_levels(a, op) if levels is None else levels:
         if n & length:  # level holds the length-`length` windows
-            op(out, level[done : done + count], out=out)
+            if out is None:  # the lowest set bit: done is 0
+                out = level[:count].copy()
+            else:
+                op(out, level[done : done + count], out=out)
             done += length
         if 2 * length > n:
             return out

@@ -136,6 +136,22 @@ def test_decide_winding_past_product_range(tmp_path, capsys):
     assert (wind["winding"], wind["valid"], wind["samples"]) == (2, True, 256)
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide"], ["decide", "--route", "moduli"], ["decide", "--route", "both"],
+    ["plot", "--out", "{tmp}/p.svg"], ["simulate", "--out", "{tmp}/w.json"],
+])
+def test_overflowing_map_is_refused(tmp_path, capsys, argv):
+    # |1 + z^2| on |z| = 1e160 leaves the float range: every command that
+    # decides refuses the instance with exit 65 and names the overflow,
+    # with no traceback and nothing on stdout
+    path = const_instance(tmp_path / "i.json", 1e160, ONE_PLUS_Z2)
+    code = main([argv[0], path, *(a.format(tmp=tmp_path) for a in argv[1:])])
+    captured = capsys.readouterr()
+    assert code == EXIT_UNSUPPORTED
+    assert "overflows the float range" in captured.err
+    assert captured.out == ""
+
+
 def test_decide_series_moduli_unsupported(tmp_path, capsys):
     path = write_instance(
         tmp_path / "i.json",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftspec.dynamics as dynamics
+import shiftspec.holo
 from conftest import random_weights
 from shiftspec.budget import Budget
 from shiftspec.dynamics import (
@@ -551,6 +552,20 @@ def test_solve_poly_routes_each_root_to_one_public_solver(monkeypatch, coeffs, r
         monkeypatch.setattr(dynamics, name, counted)
     solve_poly(const_op(2.0, P(*coeffs)), TruncatedVector.ones(64))
     assert calls == routed
+
+
+def test_root_radius_evaluates_through_the_map(monkeypatch):
+    # each root's radius takes one f.eval(z, derivative=True), which the
+    # evaluation counters see; a scalar runs the same Horner recurrence
+    f = P(4.5, -9.5, 1)
+    calls, evaluate = [], Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval", lambda self, z, derivative=False:
+                        calls.append(derivative) or evaluate(self, z, derivative))
+    rho = dynamics._root_radius(f, 9.0 + 1e-9j)
+    assert calls == [True]
+    fz, dfz, _ = shiftspec.holo._horner_scalar(f.coeffs, 9.0 + 1e-9j)
+    res = abs(fz) + f.eval_round_error(abs(9.0 + 1e-9j))
+    assert rho == min((res / abs(f.coeffs[-1])) ** 0.5, 2 * res / abs(dfz))
 
 
 # -- mixing witness -------------------------------------------------------------

@@ -252,6 +252,34 @@ def test_min_modulus_series():
         min_modulus_on_annulus(s, Annulus(1, 6))
 
 
+@pytest.mark.parametrize("f", [P(1, 0, 1), P(0, 0, 1), P(1e-300, 0, 1)])
+def test_min_modulus_refuses_overflowing_allowance(f):
+    # sum |a_n| r^n at r = 1e160 leaves the float range: the allowance is
+    # infinite instead of an OverflowError, and condition A refuses the map
+    assert f.eval_round_error(1e160) == math.inf
+    with pytest.raises(ValueError, match="overflows the float range"):
+        min_modulus_on_annulus(f, Annulus(1e160, 1e160))
+
+
+class NaNFirstPoint(Polynomial):
+    """A polynomial whose array evaluations come back NaN at their first point."""
+
+    def eval(self, z, derivative=False):
+        out = super().eval(z, derivative)
+        if np.ndim(z):
+            (out[0] if derivative else out)[0] = complex(math.nan, math.nan)
+        return out
+
+
+def test_nan_arc_floor_never_retires():
+    # |1 + z^2| >= 3 on |z| = 2, but one arc per pass has no usable floor:
+    # it stays open until the budget retires it, as a floor of -inf
+    f = NaNFirstPoint((1, 0, 1))
+    cert = min_modulus_on_annulus(f, Annulus(2, 2), Budget(grid_max=1024))
+    assert cert.status == UNDECIDED and cert.lower_bound == 0.0
+    assert min_modulus_on_annulus(P(1, 0, 1), Annulus(2, 2), Budget(grid_max=1024)).certifies_above
+
+
 # -- winding numbers -----------------------------------------------------
 
 
@@ -280,6 +308,14 @@ def test_winding_counts_roots(rng):
 def test_winding_invalid_when_curve_hits_target():
     wr = winding_number(P(1, 0, 1), 1.0, 0j)  # roots +-i on the circle
     assert not wr.valid
+
+
+@pytest.mark.parametrize("f, radius", [(P(1, 0, 1), 1e160), (NaNFirstPoint((3, 0, 1)), 1.0)])
+def test_winding_invalid_on_nonfinite_sample(f, radius):
+    # samples past the float range, or a NaN sample, end the count at once
+    with np.errstate(all="ignore"):
+        wr = winding_number(f, radius, 0j)
+    assert wr == WindingResult(0, False, 256, 0.0)
 
 
 def winding_reference(f, radius, target, budget=Budget()):

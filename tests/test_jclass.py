@@ -196,15 +196,27 @@ def test_near_exact_threshold_undecided(m):
 
 
 def record_scans(monkeypatch) -> list:
-    """Record every circle scan, to read its evaluation count."""
-    scans = []
+    """Record every circle scan, to read its evaluation count.  A scan's
+    ``circles`` holds, per circle, the evaluations the scan had made before
+    it and the points of each of the circle's array passes."""
+    scans, horner = [], shiftspec.holo._horner_with_derivative
 
     class Recording(shiftspec.holo._CircleScan):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.circles = []
             scans.append(self)
 
+        def floor(self, r):
+            self.circles.append((self.evals, []))
+            return super().floor(r)
+
+    def recording_horner(coeffs, z):  # the scan's array passes; windings take no f'
+        scans[-1].circles[-1][1].append(len(z))
+        return horner(coeffs, z)
+
     monkeypatch.setattr(shiftspec.holo, "_CircleScan", Recording)
+    monkeypatch.setattr(shiftspec.holo, "_horner_with_derivative", recording_horner)
     return scans
 
 
@@ -213,16 +225,61 @@ def record_scans(monkeypatch) -> list:
 @pytest.mark.parametrize("name", THRESHOLD_MAPS)
 def test_threshold_decided_within_scan_budget(monkeypatch, name, geometry, side):
     # min |f| = 1 +- 1e-9 on the annulus: the second-order arc floor keeps
-    # only a few arcs per halving near the minimum
+    # only a few arcs near the minimum, and each pass splits them as many
+    # levels deep as fit in 128 points, so a circle takes at most 4 passes
     scans = record_scans(monkeypatch)
-    v = decide_geometric(threshold_instance(name, geometry, 1.0 + side * 1e-9))
+    min_modulus = 1.0 + side * 1e-9
+    op = threshold_instance(name, geometry, min_modulus)
+    v = decide_geometric(op)
     assert v.decision == (JCLASS if side > 0 else NOT_JCLASS)
     assert sum(scan.evals for scan in scans) <= 1024
+    circles = [passes for scan in scans for _, passes in scan.circles]
+    assert max(len(passes) for passes in circles) <= 4
+    assert max(max(passes) for passes in circles) <= 128
+    assert v.condition_a.lower_bound <= min_modulus + op.map.eval_round_error(op.profile().r1)
+
+
+@pytest.mark.parametrize("grid_max", [160, 200, 300, 512, 1000])
+def test_refinement_passes_stay_within_grid_max(monkeypatch, grid_max):
+    # only a circle's 128-point first pass (and its Newton steps) may take
+    # the scan past grid_max; every later pass fits in what is left
+    scans = record_scans(monkeypatch)
+    for name in THRESHOLD_MAPS:
+        for geometry in ("circle", "annulus"):
+            for side in (1, -1):
+                decide_geometric(threshold_instance(name, geometry, 1.0 + side * 1e-9),
+                                 Budget(grid_max=grid_max))
+    refinements = 0
+    for scan in scans:
+        for start, (first, *later) in scan.circles:
+            evals = start + first
+            for size in later:
+                evals += size
+                assert evals <= grid_max
+                refinements += 1
+    assert refinements > 0
+
+
+@pytest.mark.parametrize("geometry", ["circle", "annulus"])
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_larger_grid_max_keeps_threshold_answers(name, geometry):
+    # a pass cut short by grid_max is its circle's last, so a larger budget
+    # makes the same passes, cuts no pass coarser, and then goes on
+    for clearance in (1e-7, 1e-8, 1e-9):
+        op = threshold_instance(name, geometry, 1.0 + clearance)
+        answers = []
+        for grid_max in range(64, 1100, 16):
+            cert = i_of_adjoint(op, Budget(grid_max=grid_max))
+            if cert.status == CERTIFIED:
+                answers.append(cert.certifies_above)
+            else:
+                assert not answers, f"gridMax {grid_max} lost a certified answer"
+        assert answers and all(answers)
 
 
 @pytest.mark.parametrize("m, c", [(1, 2.0), (2, 2.0 ** 0.5), (3, 2.0 ** (1 / 3)), (2, math.sqrt(2))])
 def test_exact_threshold_abstains_within_scan_budget(monkeypatch, m, c):
-    # min |f| = 1 exactly: the halving stops at rounding resolution
+    # min |f| = 1 exactly: the refinement stops at rounding resolution
     scans = record_scans(monkeypatch)
     v = decide_geometric(const_op(c, one_plus_zm(m)))
     assert v.decision == VERDICT_UNDECIDED

@@ -18,6 +18,7 @@ from shiftspec.weights import (
     window_product,
     window_products,
 )
+from shiftspec.weights import _windows
 
 
 def test_indexing_constant_and_prefix():
@@ -97,11 +98,38 @@ def test_window_products_against_naive_oracle(rng):
             want = [naive_window_product(w, k, n) for k in range(1, 41)]
             assert got == pytest.approx(want, rel=1e-12)
         # log space, far out and over windows whose direct products overflow
-        for n in (1, 5, 64, 999, 2000):
+        for n in (1, 5, 7, 64, 135, 999, 2000):
             got = log_window_products(w, n, 3000)
             for k in (1, 2, 7, 1024, 2999, 3000):
                 want = math.fsum(math.log(w.value(i)) for i in range(k, k + n))
                 assert got[k - 1] == pytest.approx(want, rel=1e-14, abs=1e-15 * n)
+
+
+def windows_from_identity(a, n, count, op):
+    """The doubling reduction started from op's identity, one more op per
+    window than the set bits of n need."""
+    out = np.full(count, float(op.identity))
+    done, length = 0, 1
+    while True:
+        if n & length:
+            op(out, a[done : done + count], out=out)
+            done += length
+        if 2 * length > n:
+            return out
+        a = op(a[:-length], a[length:])
+        length *= 2
+
+
+# 0, then lengths with 1, 2, 3 and 4 set bits, two of each
+@pytest.mark.parametrize("n", [0, 1, 64, 3, 40, 7, 70, 15, 1170])
+def test_windows_start_from_first_level(rng, n):
+    # starting from the lowest selected level gives the identity start's
+    # bits: 1.0 * x and 0.0 + x are x for positive weights and their logs
+    a = rng.uniform(0.3, 3.0, 300 + n)
+    for op, values in ((np.multiply, a), (np.add, np.log(a))):
+        got = _windows(values, n, 300, op)
+        assert np.array_equal(got, windows_from_identity(values, n, 300, op))
+        assert got is not values and not np.shares_memory(got, values)
 
 
 def test_window_product_keeps_no_cache():
