@@ -11,7 +11,7 @@ Instance files are JSON: {"weights": ..., "map": ..., "budgets": ...} with
 budgets optional (defaults: gridMax 2^18, windingMax 2^20, truncationN 256,
 tol 1e-9).  Exit codes: 0 JCLASS, 1 NOT_JCLASS, 2 UNDECIDED for decide;
 64 usage or parse error, 65 unsupported or refused input (a budget or tolerance
-included), 70 simulation failure.
+included, and a map whose roots cannot be polished), 70 simulation failure.
 """
 from __future__ import annotations
 

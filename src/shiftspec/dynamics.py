@@ -59,6 +59,8 @@ _CALIBRATION_STAGES = 4
 _MEMBERSHIP_ERROR = 1e-6
 # |x_k| / ||y|| above which an inner-factor solve counts as diverging
 _DIVERGENCE_GUARD = 1e6
+# log of the largest float, past which _scaled_power's product is inf
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 class DivergenceError(RuntimeError):
@@ -435,6 +437,17 @@ class MixingWitness:
         }
 
 
+def _scaled_power(c: float, base: float, k: int) -> float:
+    """c base^k for c >= 0 and base >= 1, computed as c * base**k (k >= 0) or
+    c / base**-k; only where that power overflows is the product taken in
+    logs, so it is inf only past the float range."""
+    try:
+        return c * base**k if k >= 0 else c / base**-k
+    except OverflowError:
+        log = math.log(c) + k * math.log(base) if c else -math.inf
+        return math.exp(log) if log < _LOG_MAX else math.inf
+
+
 def _choose_n0(solve, y: TruncatedVector, eps: float):
     """Smallest block size n0 in (1, 2, 4, 8) for which n0 solves contract
     the norm at the certified rate, or 1 (the constant absorbs transients);
@@ -446,7 +459,7 @@ def _choose_n0(solve, y: TruncatedVector, eps: float):
     for cand in (1, 2, 4, 8):
         while len(chain) <= cand:
             chain.append(solve(chain[-1]))
-        if chain[cand].sup_norm() <= base / (1.0 + eps) ** cand * (1.0 + 1e-9):
+        if chain[cand].sup_norm() <= _scaled_power(base, 1.0 + eps, -cand) * (1.0 + 1e-9):
             return cand, chain
     return 1, chain
 
@@ -477,7 +490,7 @@ def mixing_witness(
 
 
 def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
-    rate = (1.0 + eps) ** n0
+    rate = _scaled_power(1.0, 1.0 + eps, n0)
     y_norm = y.sup_norm()
 
     ok, failure = True, None
@@ -497,7 +510,7 @@ def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
     constant = 1.0
     if y_norm > 0:
         for m in range(1, calibration + 1):
-            fitted = chain[m].sup_norm() * rate**m / y_norm
+            fitted = _scaled_power(chain[m].sup_norm(), rate, m) / y_norm
             if math.isfinite(fitted):
                 constant = max(constant, fitted)
 

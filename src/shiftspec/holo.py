@@ -55,7 +55,7 @@ class DomainError(ValueError):
     """Evaluation requested outside a series map's validity disk."""
 
 
-class RootRefinementError(RuntimeError):
+class RootRefinementError(ValueError):
     """Polynomial root polishing failed to reach the residual target."""
 
 
@@ -63,40 +63,25 @@ def _as_complex_tuple(coeffs) -> tuple[complex, ...]:
     return tuple(complex(c) for c in coeffs)
 
 
-def _is_scalar(z) -> bool:
-    """A number or a 0-d array.  Python numbers (numpy's scalars subclass
-    them) and arrays are told apart without ``np.ndim``, whose dispatch
-    costs about as much as a whole scalar Horner evaluation."""
-    if isinstance(z, (complex, float, int)):
-        return True
-    if isinstance(z, np.ndarray):
-        return z.ndim == 0
-    return np.ndim(z) == 0
-
-
 def _horner(coeffs: tuple[complex, ...], z, derivative: bool = False):
-    """f(z), or with ``derivative`` the pair (f(z), f'(z)).  A scalar z runs
-    the same recurrence in ``_horner_scalar`` and comes back as Python
-    complex numbers with the bits a 0-d array would give."""
-    if _is_scalar(z):
-        f0, f1, _ = _horner_scalar(coeffs, complex(z))
-        return (f0, f1) if derivative else f0
-    if derivative:
-        return _horner_with_derivative(coeffs, z)
-    out = np.zeros(np.shape(z), complex)
-    for a in reversed(coeffs):
-        out = out * z + a
-    return out
-
-
-def _horner_with_derivative(coeffs: tuple[complex, ...], z: np.ndarray):
-    """f(z) and f'(z) in one Horner pass; f(z) rounds exactly as ``_horner``."""
-    out = np.full(z.shape, coeffs[-1])
-    der = np.zeros(z.shape, complex)
-    for a in coeffs[-2::-1]:
-        der = der * z + out
-        out = out * z + a
-    return out, der
+    """f(z), or with ``derivative`` the pair (f(z), f'(z)), in one Horner pass
+    from the leading coefficient.  A number or a 0-d array runs the same
+    recurrence in ``_horner_scalar`` and comes back as Python complex numbers
+    with the bits a 0-d array would give.  Python numbers (numpy's float64 and
+    complex128 subclass them) are told apart without ``np.ndim``, whose
+    dispatch costs about as much as a whole scalar evaluation."""
+    if not isinstance(z, (complex, float, int)):
+        z = np.asarray(z)
+        if z.ndim:
+            out = np.full(z.shape, coeffs[-1])
+            der = np.zeros(z.shape, complex) if derivative else None
+            for a in coeffs[-2::-1]:
+                if derivative:
+                    der = der * z + out
+                out = out * z + a
+            return (out, der) if derivative else out
+    f0, f1, _ = _horner_scalar(coeffs, complex(z))
+    return (f0, f1) if derivative else f0
 
 
 def _horner_scalar(coeffs: tuple[complex, ...], z: complex) -> tuple[complex, complex, complex]:
@@ -201,10 +186,6 @@ class Polynomial:
         if not c:
             c = (0j,)
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def kind(self) -> str:
-        return "poly"
 
     @property
     def degree(self) -> int:
@@ -322,23 +303,17 @@ class Series:
                 "(need tail_ratio * radius <= 1)"
             )
 
-    @property
-    def kind(self) -> str:
-        return "series"
-
     def monomial_form(self):
         return None
-
-    def _check_domain(self, z) -> None:
-        if (abs(z) if _is_scalar(z) else np.max(np.abs(z))) >= self.validity_radius:
-            raise DomainError(
-                f"|z| >= validity radius {self.validity_radius}"
-            )
 
     def eval(self, z, derivative: bool = False):
         """Stored part of f at z; with ``derivative``, the pair (f(z), f'(z)).
         ``eval_error`` and ``derivative_error`` bound the neglected tails."""
-        self._check_domain(z)
+        size = abs(z) if isinstance(z, (complex, float, int)) else np.max(np.abs(z))
+        if size >= self.validity_radius:
+            raise DomainError(
+                f"|z| >= validity radius {self.validity_radius}"
+            )
         return _horner(self.coeffs, z, derivative)
 
     def eval_error(self, radius: float) -> float:

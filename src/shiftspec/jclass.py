@@ -108,17 +108,6 @@ class Verdict:
             "notes": self.notes,
         }
 
-    @property
-    def certification_width(self) -> float:
-        if self.condition_a is not None:
-            return self.condition_a.width
-        return 0.0
-
-
-def _condition_a(op: OperatorSpec, budget: Budget) -> tuple[SpectralProfile, CertifiedBound]:
-    """The profile and the condition-A certificate both routes start from."""
-    return op.check_validity(), i_of_adjoint(op, budget)
-
 
 def _verdicts(route: str, prof: SpectralProfile, cert_a: CertifiedBound):
     """Verdict builder for one route: the decision, then what differs from margin 0."""
@@ -130,9 +119,10 @@ def _require_polynomial(op: OperatorSpec) -> None:
         raise UnsupportedMapError("the moduli route needs a polynomial map")
 
 
-def _geometric(
-    op: OperatorSpec, prof: SpectralProfile, cert_a: CertifiedBound, budget: Budget
-) -> Verdict:
+def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
+    """Decide via the annulus-avoidance and disk-coverage certificates."""
+    budget = budget or Budget()
+    prof, cert_a = op.check_validity(), i_of_adjoint(op, budget)
     route = CLOSED_FORM if op.map.monomial_form() is not None else GEOMETRIC
     verdict = _verdicts(route, prof, cert_a)
     if cert_a.certifies_violation:
@@ -184,16 +174,10 @@ def _moduli(op: OperatorSpec, prof: SpectralProfile, cert_a: CertifiedBound) -> 
                    notes="kernel question open for roots between r3 and r1")
 
 
-def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
-    """Decide via the annulus-avoidance and disk-coverage certificates."""
-    budget = budget or Budget()
-    return _geometric(op, *_condition_a(op, budget), budget)
-
-
 def decide_moduli(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
     """Decide via the adjoint modulus bound and the kernel witness."""
     _require_polynomial(op)
-    return _moduli(op, *_condition_a(op, budget or Budget()))
+    return _moduli(op, op.check_validity(), i_of_adjoint(op, budget or Budget()))
 
 
 def decide_unweighted(f: HoloMap, budget: Budget | None = None) -> Verdict:
@@ -240,16 +224,14 @@ def cross_check(op: OperatorSpec, budget: Budget | None = None) -> ConsistencyRe
     is a FAIL.  Condition A is certified once for both routes, and a series
     map raises UnsupportedMapError only after the geometric route has run.
     """
-    budget = budget or Budget()
-    prof, cert_a = _condition_a(op, budget)
-    g = _geometric(op, prof, cert_a, budget)
+    g = decide_geometric(op, budget)
     _require_polynomial(op)
-    m = _moduli(op, prof, cert_a)
+    m = _moduli(op, g.profile, g.condition_a)
     if g.decision == m.decision:
         return ConsistencyReport(g, m, True, "decisions agree")
     undecided, decided = (g, m) if g.decision == VERDICT_UNDECIDED else (m, g)
     if undecided.decision == VERDICT_UNDECIDED:
-        near = decided.margin < 2.0 * max(decided.certification_width, 1e-15)
+        near = decided.margin < 2.0 * max(decided.condition_a.width, 1e-15)
         detail = (
             "one route abstained near the threshold"
             if near

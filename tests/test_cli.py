@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftspec.dynamics as dynamics
@@ -41,6 +42,10 @@ def const_instance(path, c, coeffs, budgets=None):
 
 IDENTITY = [[0, 0], [1, 0]]
 ONE_PLUS_Z2 = [[1, 0], [0, 0], [1, 0]]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
 
 
 # -- analyze ------------------------------------------------------------------
@@ -150,6 +155,81 @@ def test_overflowing_map_is_refused(tmp_path, capsys, argv):
     assert code == EXIT_UNSUPPORTED
     assert "overflows the float range" in captured.err
     assert captured.out == ""
+
+
+def test_unpolishable_root_is_refused(tmp_path, capsys):
+    # the degree-5 map's coefficients span 1e-27 to 1e27, so Newton cannot
+    # bring its roots within the residual target: every command that needs
+    # the roots refuses the instance with exit 65, the geometric route still
+    # decides
+    path = const_instance(tmp_path / "i.json", 3.0525464712316735e-13, [
+        [-0.030230918027711034, 4.693546993125406e-27],
+        [-391191935190.17896, 8.593923327841348e-07],
+        [-6.319213620647699e+26, -0.018734087215100805],
+        [-9.893809672877182e-20, 11525475416.519472],
+        [-0.0003553455353451098, 1.5083400660473308e+24],
+        [-1.2116559775672778e-24, 6.204047326790037e-20]])
+    assert main(["decide", path]) == EXIT_JCLASS
+    capsys.readouterr()
+    for argv in (["decide", path, "--route", "moduli"], ["decide", path, "--route", "both"],
+                 ["simulate", path]):
+        assert main(argv) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert "root refinement residuals" in captured.err
+        assert captured.out == ""
+
+
+def test_simulate_rate_past_float_range(tmp_path, capsys):
+    # 1e80 z on constant weight 2 contracts by 2e80 per solve, so rate^m
+    # leaves the float range at stage 4; the constant is fitted in logs there
+    path = const_instance(tmp_path / "i.json", 2.0, [[0, 0], [1e80, 0]])
+    assert main(["simulate", path]) == 0
+    wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert wit["ok"] is True and wit["n0"] == 1 and len(wit["stages"]) == 5
+    assert wit["constant"] == 1.0
+    assert [s["norm"] for s in wit["stages"][:3]] == [5e-81, 2.5e-161, 1.25e-241]
+
+
+def _extreme(rng, s: int, signed: bool = False) -> float:
+    """0.1 to 9.9 times 10^k with k uniform in [-s, s], with a random sign if asked."""
+    sign = rng.choice((-1.0, 1.0)) if signed else 1.0
+    return float(sign * rng.uniform(0.1, 9.9) * 10.0 ** int(rng.integers(-s, s + 1)))
+
+
+def _extreme_instance(rng, s: int) -> dict:
+    prefix = [_extreme(rng, s) for _ in range(int(rng.integers(0, 4)))]
+    kind = ("constant", "periodic", "blocks")[int(rng.integers(0, 3))]
+    if kind == "constant":
+        tail = {"kind": kind, "value": _extreme(rng, s)}
+    elif kind == "periodic":
+        tail = {"kind": kind, "values": [_extreme(rng, s) for _ in range(int(rng.integers(1, 4)))]}
+    else:
+        tail = {"kind": kind, "a": _extreme(rng, s), "b": _extreme(rng, s)}
+    degree = int(rng.choice((1, 2, 3, 5, 9, 16)))
+    coeffs = [[_extreme(rng, s, True), _extreme(rng, s, True)] for _ in range(degree + 1)]
+    return {"weights": {"prefix": prefix, "tail": tail},
+            "map": {"kind": "poly", "coeffs": coeffs}, "budgets": {"truncationN": 64}}
+
+
+def test_extreme_instances_exit_with_documented_codes(tmp_path, capsys):
+    # weights and coefficient parts 10^-100 to 10^100: every command either
+    # answers or refuses with a documented exit code, and stdout stays strict
+    # JSON; an overflow or an unpolishable root once escaped as a traceback
+    rng = np.random.default_rng(0)
+    path = tmp_path / "i.json"
+    for index in range(40):
+        doc = _extreme_instance(rng, (10, 30, 100)[index % 3])
+        path.write_text(json.dumps(doc))
+        for argv in (["decide"], ["decide", "--route", "both"], ["simulate"]):
+            argv = [argv[0], str(path), *argv[1:]]
+            try:
+                code = main(argv)
+            except Exception as exc:  # a crash, reported with its instance
+                pytest.fail(f"{' '.join(argv[::2])} raised {exc!r} on {doc}")
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_SIM_FAILED), (code, doc)
+            if out or (argv[0] == "decide" and code in (0, 1, 2)):
+                json.loads(out, parse_constant=_reject_constant)
 
 
 def test_decide_series_moduli_unsupported(tmp_path, capsys):
@@ -377,10 +457,6 @@ def test_simulate_orbit_envelope_csv(tmp_path, capsys):
     assert rows[0] == "n,prefix_sup,tail_sup"
     assert rows[1] == "0,1.0,1.0"
     assert rows[2].startswith("1,2.0,2.0")
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-finite JSON constant {token}")
 
 
 @pytest.mark.parametrize("c, extra", [(20.0, []), (2.0, ["--trunc-n", "2048"])])

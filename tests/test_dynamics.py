@@ -692,6 +692,20 @@ def test_mixing_witness_past_float_range_of_rate_power():
     assert wit.stages[-1].norm == 0.0 == wit.stages[-1].norm_bound
 
 
+def test_scaled_power_keeps_bits_and_survives_overflow():
+    # where base**k is a float the product is the plain expression, bit for
+    # bit; past that it is taken in logs, and inf only past the float range
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        c, base, k = rng.uniform(0.0, 1e3), 1.0 + rng.uniform(0.0, 1e3), int(rng.integers(-8, 9))
+        plain = c * base**k if k >= 0 else c / base**-k
+        assert dynamics._scaled_power(c, base, k) == plain
+    assert dynamics._scaled_power(1e-300, 1e80, 5) == pytest.approx(1e100, rel=1e-12)
+    assert dynamics._scaled_power(1e100, 1e80, -5) == pytest.approx(1e-300, rel=1e-12)
+    assert dynamics._scaled_power(1.0, 1e80, 5) == math.inf
+    assert dynamics._scaled_power(0.0, 1e80, 5) == 0.0
+
+
 LONG_N = 65536
 HEAVY_WEIGHTS = [
     WeightSequence.constant(1e3),

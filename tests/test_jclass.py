@@ -199,7 +199,7 @@ def record_scans(monkeypatch) -> list:
     """Record every circle scan, to read its evaluation count.  A scan's
     ``circles`` holds, per circle, the evaluations the scan had made before
     it and the points of each of the circle's array passes."""
-    scans, horner = [], shiftspec.holo._horner_with_derivative
+    scans, horner = [], shiftspec.holo._horner
 
     class Recording(shiftspec.holo._CircleScan):
         def __init__(self, *args, **kwargs):
@@ -211,12 +211,14 @@ def record_scans(monkeypatch) -> list:
             self.circles.append((self.evals, []))
             return super().floor(r)
 
-    def recording_horner(coeffs, z):  # the scan's array passes; windings take no f'
-        scans[-1].circles[-1][1].append(len(z))
-        return horner(coeffs, z)
+    def recording_horner(coeffs, z, derivative=False):
+        # the scan's array passes take f'; windings take none, root polishing is scalar
+        if derivative and np.ndim(z):
+            scans[-1].circles[-1][1].append(len(z))
+        return horner(coeffs, z, derivative)
 
     monkeypatch.setattr(shiftspec.holo, "_CircleScan", Recording)
-    monkeypatch.setattr(shiftspec.holo, "_horner_with_derivative", recording_horner)
+    monkeypatch.setattr(shiftspec.holo, "_horner", recording_horner)
     return scans
 
 

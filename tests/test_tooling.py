@@ -79,3 +79,25 @@ def test_tracer_sees_every_scalar_eval_of_roots(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.summarize()["holo.eval_calls"] == len(scalar_evals) > 0
+
+
+def test_traced_cross_check_records_one_geometric_decision():
+    # cross_check runs its geometric route through the public
+    # decide_geometric, so a traced run sees that span under cross_check's
+    # and jclass.decide_calls counts it once; the moduli route stays private
+    from shiftspec import holo, jclass, spectra, weights
+
+    op = spectra.OperatorSpec(weights.WeightSequence.constant(2.0), holo.Polynomial((1, 0, 1)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = jclass.cross_check(op)
+    finally:
+        tracer.uninstall()
+    assert report.consistent and report.geometric.decision == jclass.JCLASS
+    spans = tracer.arrays()
+    names = [tracer.names[i] for i in spans["name"]]
+    assert names.count("jclass.decide_geometric") == 1
+    assert names.count("jclass.cross_check") == 1
+    assert spans["parent"][names.index("jclass.decide_geometric")] == names.index("jclass.cross_check")
+    assert tracer.summarize()["jclass.decide_calls"] == 1
