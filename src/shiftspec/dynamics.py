@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -101,8 +102,13 @@ class TruncatedVector:
             return 0.0
         return float(np.max(np.abs(self.coords[: self.exact_prefix])))
 
-    def sup_norm_full(self) -> float:
-        return float(np.max(np.abs(self.coords))) if self.size else 0.0
+    def sup_norm_full(self, scratch: np.ndarray | None = None) -> float:
+        """Sup over the whole buffer (NaN if a coordinate is NaN).  The
+        moduli go to the float buffer ``scratch`` if one is lent, as the
+        solvers lend their output's buffer before they fill it."""
+        if scratch is not None:
+            scratch = scratch[: self.size]
+        return float(np.abs(self.coords, out=scratch).max(initial=0.0))
 
     def prefix_distance(self, other: "TruncatedVector") -> float:
         n = min(self.exact_prefix, other.exact_prefix)
@@ -153,8 +159,10 @@ def shift_power(w: WeightSequence, x: TruncatedVector, n: int) -> TruncatedVecto
     if n == 0:
         return x
     size = x.size
-    out = np.zeros(size, dtype=complex)
-    out[: size - n] = window_products(w, n, size - n) * x.coords[n:]
+    out = np.empty(size, dtype=complex)
+    prods = window_products(w, n, size - n, out.view(float))  # out is scratch until here
+    out[size - n :] = 0.0
+    np.multiply(prods, x.coords[n:], out=out[: size - n])
     return TruncatedVector(out, max(0, min(x.exact_prefix, size) - n))
 
 
@@ -168,18 +176,21 @@ def apply_operator(op: OperatorSpec, x: TruncatedVector, n: int = 1) -> Truncate
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("vector application needs a polynomial map")
     f, size = op.map, x.size
+    term = np.empty(size, dtype=complex)  # scratch for every term
     # each power's window products, once per call (the size never changes)
-    terms = [(a, j, window_products(op.weights, j, size - j) if j else None)
+    terms = [(a, j, window_products(op.weights, j, size - j, term.view(float)) if j else None)
              for j, a in enumerate(f.coeffs) if a != 0] if n else []
     out = x
     for _ in range(n):
         acc = np.zeros(size, dtype=complex)
         for a, j, prods in terms:
-            shifted = out.coords
-            if j:
-                shifted = np.zeros(size, dtype=complex)
-                shifted[: size - j] = prods * out.coords[j:]
-            acc += a * shifted
+            if j:  # a times the j-fold shift, its last j coordinates zero
+                np.multiply(prods, out.coords[j:], out=term[: size - j])
+                term[size - j :] = 0.0
+                np.multiply(a, term, out=term)
+            else:
+                np.multiply(a, out.coords, out=term)
+            acc += term
         out = TruncatedVector(acc, max(0, out.exact_prefix - f.degree))
     if out.exact_prefix == 0 and x.exact_prefix > 0:
         warnings.warn("operator application exhausted the exact prefix", stacklevel=2)
@@ -193,8 +204,10 @@ def preimage_power(w: WeightSequence, z: TruncatedVector, n0: int) -> TruncatedV
     if n0 < 1:
         raise ValueError("power must be >= 1")
     size = z.size
-    out = np.zeros(size, dtype=complex)
-    out[n0:] = z.coords[: size - n0] / window_products(w, n0, size - n0)
+    out = np.empty(size, dtype=complex)
+    prods = window_products(w, n0, size - n0, out.view(float))  # out is scratch until here
+    out[:n0] = 0.0
+    np.divide(z.coords[: size - n0], prods, out=out[n0:])
     return TruncatedVector(out, min(size, z.exact_prefix + n0))
 
 
@@ -258,13 +271,15 @@ def solve_factor_inner(w: WeightSequence, zeta: complex, y: TruncatedVector) -> 
     if abs(zeta) >= r2:
         raise ValueError(f"|zeta| = {abs(zeta)} must stay below the inner radius {r2}")
     ws = w.values_array(y.size - 1)
-    cap = _DIVERGENCE_GUARD * max(y.sup_norm_full(), 1e-300)
     x = np.empty(y.size, dtype=complex)
+    cap = _DIVERGENCE_GUARD * max(y.sup_norm_full(x.view(float)), 1e-300)
     x[:1] = 0.0
     np.divide(y.coords[:-1], ws, out=x[1:])
-    _affine_scan(zeta / ws, x)
-    bad = np.flatnonzero(~(np.abs(x) <= cap))  # a NaN fails too
-    if len(bad):
+    _affine_scan(np.divide(zeta, ws), x)
+    # |x_2| .. |x_n| go to the spent weights; |x_1| = 0 fails only a NaN
+    # cap, which fails every comparison.  Negated, so a NaN |x_k| fails too
+    if not np.abs(x[1:], out=ws).max(initial=0.0) <= cap:
+        bad = np.flatnonzero(~(np.abs(x) <= cap))
         raise DivergenceError(
             f"inner-factor recurrence exceeded {_DIVERGENCE_GUARD} x ||y|| at k={bad[0] + 1}")
     return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
@@ -280,6 +295,7 @@ def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
     if y_norm == 0:
         return 1
     n, logs = len(ws) + 1, np.log(ws)
+    sums = np.empty(n - 1)  # every probe's window sums, from its first count values
     bound = (math.log(tol) if tol > 0 else -math.inf) - math.log(y_norm)
     built, source = [], _doubling_levels(logs, np.add)
 
@@ -292,7 +308,8 @@ def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
     def stops(L: int) -> bool:
         if L >= n:
             return True
-        return float(_windows(logs, L, n - L, np.add, levels()).max()) - L * math.log(az) <= bound
+        top = float(_windows(logs, L, n - L, np.add, levels(), sums[: n - L]).max())
+        return top - L * math.log(az) <= bound
 
     hi = 1
     while not stops(hi):
@@ -314,11 +331,13 @@ def solve_factor_outer(
     if az - r1 < tol:
         raise ValueError(f"|zeta| = {az} must clear the outer radius {r1} by more than {tol}")
     ws = w.values_array(y.size - 1)
+    x = np.empty(y.size, dtype=complex)
+    y_norm = y.sup_norm_full(x.view(float))
     # x_k = (w_k x_{k+1} - y_k) / zeta from x_{N+1} = 0, scanned from the end
     # of a buffer of -y / zeta: the b_k, and x_N to start from
-    x = np.divide(y.coords, -zeta)
-    _affine_scan((ws / zeta)[::-1], x[::-1])
-    cut = _series_cut(ws, az, y.sup_norm_full(), tol)
+    np.divide(y.coords, -zeta, out=x)
+    _affine_scan(np.divide(ws, zeta)[::-1], x[::-1])
+    cut = _series_cut(ws, az, y_norm, tol)
     return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
 
 
@@ -330,6 +349,18 @@ def _root_radius(f: Polynomial, z: complex) -> float:
     res = abs(fz) + f.eval_round_error(abs(z))
     rho = (res / abs(f.coeffs[-1])) ** (1.0 / f.degree)
     return min(rho, f.degree * res / abs(dfz)) if dfz else rho
+
+
+def _unchanged_by_unit_division(coords: np.ndarray) -> bool:
+    """Whether coords / 1 equals coords bit for bit, which holds when every
+    real and imaginary part is finite and nonzero.  The complex division
+    adds im * 0 to re and subtracts re * 0 from im, so it can turn -0.0
+    into 0.0 and a part beside an inf into NaN; a sum that overflows or a
+    strided buffer only costs the division."""
+    if not coords.flags.c_contiguous:
+        return False
+    parts = coords.view(float)
+    return bool(parts.all()) and math.isfinite(parts.sum())
 
 
 def _solver(op: OperatorSpec, tol: float):
@@ -357,7 +388,8 @@ def _solver(op: OperatorSpec, tol: float):
     tol_eff = tol / max(1.0, amp)
 
     def solve(y: TruncatedVector) -> TruncatedVector:
-        x = TruncatedVector(y.coords / lead, y.exact_prefix)
+        x = y if lead == 1 and _unchanged_by_unit_division(y.coords) else TruncatedVector(
+            y.coords / lead, y.exact_prefix)
         for z in outer:
             x = solve_factor_outer(op.weights, z, x, tol_eff)
         for z in inner:
@@ -407,8 +439,11 @@ class MixingWitness:
     the largest ||x_m|| (1+eps)^{m n0} / ||y|| over the first
     ``_CALIBRATION_STAGES`` stages (and at least 1), so those stages meet
     the bound by construction and only later stages test the decay.  A
-    stage whose norm or round-trip residual is not finite is not recorded:
-    the witness stops there with ``ok`` false.  Each stage also records
+    stage whose norm or round-trip residual is not finite, or a zero stage
+    whose round trip misses the previous one (the solves underflowed), is
+    not recorded: the witness stops there with ``ok`` false.  The bound
+    C ||y|| (1+eps)^{-m n0} is taken in logs where the power underflows,
+    so it is 0 only below the float range.  Each stage also records
     z_m := T^{n0} x_m, which equals the previous stage's vector by
     construction; these satisfy T^{(m-1) n0} z_m = y, converge to
     0, and push forward to y, which is the mixing phenomenon being
@@ -448,18 +483,32 @@ def _scaled_power(c: float, base: float, k: int) -> float:
         return math.exp(log) if log < _LOG_MAX else math.inf
 
 
+def _decayed(c: float, rate: float, log_rate: float, m: int) -> float:
+    """c rate^-m for c >= 0 and rate >= 1, computed as c * rate**-m; only
+    where that power underflows past the normal floats (it is 0.0 wherever
+    rate**m overflows) is the product taken in logs, with log_rate the log
+    of the rate, so it is 0.0 only below the float range."""
+    power = rate**-m
+    if power >= sys.float_info.min or c == 0.0:
+        return c * power
+    return math.exp(math.log(c) - m * log_rate)
+
+
 def _choose_n0(solve, y: TruncatedVector, eps: float):
     """Smallest block size n0 in (1, 2, 4, 8) for which n0 solves contract
     the norm at the certified rate, or 1 (the constant absorbs transients);
     returned with the probe chain [y, solve(y), solve(solve(y)), ...] of the
-    solves made, which the witness chain continues instead of repeating."""
+    solves made, which the witness chain continues instead of repeating.
+    A link of norm 0 meets no rate: y is not 0, so the solves underflowed
+    or pushed y out of the buffer, and where the rate's power underflows
+    the bar is 0 as well."""
     chain, base = [y], y.sup_norm()
     if base == 0.0:
         return 1, chain
     for cand in (1, 2, 4, 8):
         while len(chain) <= cand:
             chain.append(solve(chain[-1]))
-        if chain[cand].sup_norm() <= _scaled_power(base, 1.0 + eps, -cand) * (1.0 + 1e-9):
+        if 0.0 < chain[cand].sup_norm() <= _scaled_power(base, 1.0 + eps, -cand) * (1.0 + 1e-9):
             return cand, chain
     return 1, chain
 
@@ -514,17 +563,23 @@ def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
             if math.isfinite(fitted):
                 constant = max(constant, fitted)
 
-    stages = []
+    stages, log_rate = [], n0 * math.log(1.0 + eps)
     for m in range(1, len(chain)):
         xm, prev = chain[m], chain[m - 1]
         norm = xm.sup_norm()
-        # a negative power underflows to 0.0 where rate**m would overflow
-        bound = constant * y_norm * rate**-m
+        bound = _decayed(constant * y_norm, rate, log_rate, m)
         back = apply_operator(op, xm, n0)
         residual = back.prefix_distance(prev)
         if not (math.isfinite(norm) and math.isfinite(residual)):
             what = "round trip residual" if math.isfinite(norm) else "norm"
             ok, failure = False, f"non-finite {what} at stage {m}"
+            break
+        # the round trip of a zero stage is 0, so a previous stage it misses
+        # was solved to 0 by underflow (a stage is 0 on its exact prefix
+        # without underflow only where the truncation shifted all of the
+        # previous stage out of the round trip's prefix)
+        if norm == 0.0 < residual:
+            ok, failure = False, f"solve chain underflowed to the zero vector at stage {m}"
             break
         stages.append(WitnessStage(m, xm, prev, norm, bound, residual))
         # negated comparisons, so that a NaN on either side fails the check

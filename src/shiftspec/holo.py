@@ -542,6 +542,8 @@ class _CircleScan:
             mod = np.abs(val)
             self.evals += len(mod)
             i = int(mod.argmin())
+            if mod[i] != mod[i]:  # argmin stops at a NaN, which is no sample
+                i = int(np.nan_to_num(mod, nan=math.inf).argmin())
             if mod[i] < here[0]:
                 here = (float(mod[i]), (int(arcs[i]) + 0.5) * (2.0 * math.pi / n))
                 self._sample(here[0], complex(z[i]))

@@ -14,11 +14,13 @@ levels that ``_doubling_levels`` builds:
 ``window_products`` multiplies the weights (exact for power-of-two weights,
 overflowing only where a window's product leaves float range) and
 ``log_window_products`` adds their logs, for kappa's windows of thousands
-of weights; ``estimate_profile`` grows its log window sums one weight at a
+of weights.  ``window_products`` builds the levels in place, so a window
+length that is a power of two allocates nothing past the weights array.
+``estimate_profile`` grows its log window sums one weight at a
 time.  ``values_array`` fills its array by slices, one per doubling block
 or one period copied onward in doubling runs, so n weights take O(log n)
 numpy calls.  Nothing is cached, values are immutable and every function is
-pure.
+pure, apart from the scratch buffer a caller may lend ``window_products``.
 """
 from __future__ import annotations
 
@@ -205,44 +207,69 @@ class WeightSequence:
         return cls(tuple(d.get("prefix", ())), _tail_from_dict(d["tail"]))
 
 
-def _doubling_levels(a: np.ndarray, op: np.ufunc):
+def _doubling_levels(a: np.ndarray, op: np.ufunc, in_place: bool = False):
     """a, then the op-reductions of its windows of length 2, 4, 8, ...,
-    each level built on demand from two shifted copies of the one before."""
+    each level built on demand from two shifted copies of the one before.
+    With ``in_place`` each level overwrites the front of the one before, so
+    every level is a view of a's buffer and no other array is allocated
+    (the output trails the input it reads, which numpy runs without a
+    copy); a caller holds on to a level only until the next one is built."""
     length = 1
     while True:
         yield a
-        a = op(a[:-length], a[length:])
+        a = op(a[:-length], a[length:], out=a[:-length] if in_place else None)
         length *= 2
 
 
-def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None) -> np.ndarray:
+def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None, out=None) -> np.ndarray:
     """op-reductions of the windows a[k : k + n], k = 0..count-1, by doubling:
     the set bits of n pick the levels of ``_doubling_levels(a, op)`` that
     make up each window, and no level past the longest of them is built.
     ``levels``, if given, is an iterable of those same levels, for a caller
-    that keeps them across window lengths.  Every intermediate reduces a
-    sub-window, so with np.multiply nothing overflows unless a window of at
-    most n values does."""
+    that keeps them across window lengths or builds them in place.  Every
+    intermediate reduces a sub-window, so with np.multiply nothing
+    overflows unless a window of at most n values does.
+
+    A window length with one set bit is answered by its level itself; that
+    level is copied only when it is ``a`` and no ``levels`` were given, so
+    without ``levels`` the result never shares memory with ``a``.  Other
+    lengths start from a copy of the lowest selected level, made into
+    ``out`` (count values) if given, else into a fresh array."""
     if n < 0:
         raise ValueError("window length must be >= 0")
     if n == 0:
         return np.full(count, float(op.identity))
-    out, done, length = None, 0, 1
+    done, length = 0, 1
     for level in _doubling_levels(a, op) if levels is None else levels:
-        if n & length:  # level holds the length-`length` windows
-            if out is None:  # the lowest set bit: done is 0
-                out = level[:count].copy()
+        if n & length:
+            window = level[done : done + count]
+            if n == length:  # the only set bit: done is 0
+                return window if levels is not None or level is not a else window.copy()
+            if done:
+                op(out, window, out=out)
+            elif out is None:  # the lowest set bit
+                out = window.copy()
             else:
-                op(out, level[done : done + count], out=out)
+                out[:] = window
             done += length
         if 2 * length > n:
             return out
         length *= 2
 
 
-def window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
-    """w_k ... w_{k+n-1} for k = 1..count as direct float products."""
-    return _windows(w.values_array(count + n - 1), n, count, np.multiply)
+def window_products(w: WeightSequence, n: int, count: int, scratch=None) -> np.ndarray:
+    """w_k ... w_{k+n-1} for k = 1..count as direct float products, returned
+    in the array of the weights themselves.  A power-of-two n builds its
+    doubling levels in place there; any other n builds them in ``scratch``
+    (a float buffer of at least count + n - 1 values, else a fresh array)
+    and multiplies the ones it selects into the weights' array."""
+    a = w.values_array(count + n - 1)
+    if n & (n - 1) == 0:
+        return _windows(a, n, count, np.multiply, _doubling_levels(a, np.multiply, in_place=True))
+    levels = np.empty_like(a) if scratch is None else scratch[: len(a)]
+    levels[:] = a
+    return _windows(levels, n, count, np.multiply, _doubling_levels(levels, np.multiply, in_place=True),
+                    a[:count])
 
 
 def log_window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:

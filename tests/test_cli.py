@@ -183,11 +183,17 @@ def test_simulate_rate_past_float_range(tmp_path, capsys):
     # 1e80 z on constant weight 2 contracts by 2e80 per solve, so rate^m
     # leaves the float range at stage 4; the constant is fitted in logs there
     path = const_instance(tmp_path / "i.json", 2.0, [[0, 0], [1e80, 0]])
-    assert main(["simulate", path]) == 0
+    assert main(["simulate", path, "--stages", "4"]) == 0
     wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    assert wit["ok"] is True and wit["n0"] == 1 and len(wit["stages"]) == 5
+    assert wit["ok"] is True and wit["n0"] == 1 and len(wit["stages"]) == 4
     assert wit["constant"] == 1.0
     assert [s["norm"] for s in wit["stages"][:3]] == [5e-81, 2.5e-161, 1.25e-241]
+    # stage 5 would be about 3e-402: the solve underflows to the zero vector,
+    # whose round trip misses stage 4, and the witness stops there
+    assert main(["simulate", path]) == EXIT_SIM_FAILED
+    wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert len(wit["stages"]) == 4
+    assert wit["failure"] == "solve chain underflowed to the zero vector at stage 5"
 
 
 def _extreme(rng, s: int, signed: bool = False) -> float:
@@ -230,6 +236,28 @@ def test_extreme_instances_exit_with_documented_codes(tmp_path, capsys):
             assert code in (0, 1, 2, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_SIM_FAILED), (code, doc)
             if out or (argv[0] == "decide" and code in (0, 1, 2)):
                 json.loads(out, parse_constant=_reject_constant)
+
+
+def test_simulate_names_solve_chain_underflow(tmp_path, capsys):
+    # fuzz instance 37 of the seeded run above (prefix [2.9e-4, 8.0e21],
+    # constant tail 3.8e27, degree 5, coefficients up to 3e29): every solve
+    # shrinks the norm by about 1e-165, so the chain reaches the zero vector
+    # at its third link; n0 = 4 once passed on that zero link, and stage 1
+    # failed with "round trip residual 1.0"
+    rng = np.random.default_rng(0)
+    docs = [_extreme_instance(rng, (10, 30, 100)[index % 3]) for index in range(38)]
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(docs[37]))
+    assert main(["simulate", str(path)]) == EXIT_SIM_FAILED
+    captured = capsys.readouterr()
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["n0"] == 1 and wit["ok"] is False
+    assert wit["failure"] == "solve chain underflowed to the zero vector at stage 3"
+    assert "underflowed to the zero vector" in captured.err
+    # stage 2's bound (about 1.6e-293) has rate**-2 = 2.6e-330, taken in logs
+    assert [s["m"] for s in wit["stages"]] == [1, 2]
+    assert all(0.0 < s["norm"] <= s["normBound"] * (1 + 1e-9) for s in wit["stages"])
+    assert all(s["roundTripResidual"] <= 1e-6 for s in wit["stages"])
 
 
 def test_decide_series_moduli_unsupported(tmp_path, capsys):

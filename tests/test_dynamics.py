@@ -3,6 +3,7 @@ import cmath
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -706,6 +707,31 @@ def test_scaled_power_keeps_bits_and_survives_overflow():
     assert dynamics._scaled_power(0.0, 1e80, 5) == 0.0
 
 
+def test_decayed_keeps_bits_and_survives_underflow():
+    # where rate**-m is a normal float the bound is the plain expression, bit
+    # for bit; below that it is taken in logs, and 0.0 only below the range
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        c, rate, m = rng.uniform(0.0, 1e3), 1.0 + rng.uniform(0.0, 1e3), int(rng.integers(0, 9))
+        assert dynamics._decayed(c, rate, math.log(rate), m) == c * rate**-m
+    assert 1e80**-5 == 0.0
+    assert dynamics._decayed(1e300, 1e80, math.log(1e80), 5) == pytest.approx(1e-100, rel=1e-12)
+    # a rate past the float range still decays by its logarithm
+    assert dynamics._decayed(1e300, math.inf, 3 * math.log(1e80), 1) == pytest.approx(1e60, rel=1e-12)
+    assert dynamics._decayed(1.0, 1e80, math.log(1e80), 5) == 0.0
+    assert dynamics._decayed(0.0, 1e80, math.log(1e80), 5) == 0.0
+
+
+def test_choose_n0_skips_a_chain_that_underflowed():
+    # a probe chain whose first solve keeps the norm and whose later links
+    # underflowed to 0: at eps = 1e200 the bars for n0 >= 2 are below the
+    # float range (0.0), so only the zero check keeps a zero link from passing
+    y = TruncatedVector.ones(4)
+    links = iter([TruncatedVector.ones(4)] + [TruncatedVector.zeros(4)] * 7)
+    n0, chain = dynamics._choose_n0(lambda x: next(links), y, 1e200)
+    assert n0 == 1 and len(chain) == 9
+
+
 LONG_N = 65536
 HEAVY_WEIGHTS = [
     WeightSequence.constant(1e3),
@@ -757,6 +783,152 @@ def test_mixing_witness_overflowing_windows_never_pass(c, n):
         assert len(wit.stages) == 5
     else:
         assert wit.failure
+
+
+# -- lean kernels: same bits as the allocating formulations ------------------
+
+
+def allocating_windows(a, n, count):
+    """Window products with fresh doubling levels and a copy of the lowest
+    selected level, even for n = 1."""
+    out, done, length = None, 0, 1
+    while True:
+        if n & length:
+            if out is None:
+                out = a[:count].copy()
+            else:
+                np.multiply(out, a[done : done + count], out=out)
+            done += length
+        if 2 * length > n:
+            return out
+        a = np.multiply(a[:-length], a[length:])
+        length *= 2
+
+
+def allocating_preimage(w, z, n0):
+    size = z.size
+    out = np.zeros(size, dtype=complex)
+    out[n0:] = z.coords[: size - n0] / allocating_windows(w.values_array(size - 1), n0, size - n0)
+    return TruncatedVector(out, min(size, z.exact_prefix + n0))
+
+
+def allocating_inner(w, zeta, y):
+    ws = w.values_array(y.size - 1)
+    cap = dynamics._DIVERGENCE_GUARD * max(y.sup_norm_full(), 1e-300)
+    x = np.empty(y.size, dtype=complex)
+    x[:1] = 0.0
+    np.divide(y.coords[:-1], ws, out=x[1:])
+    dynamics._affine_scan(zeta / ws, x)
+    bad = np.flatnonzero(~(np.abs(x) <= cap))
+    if len(bad):
+        raise DivergenceError(
+            f"inner-factor recurrence exceeded {dynamics._DIVERGENCE_GUARD} x ||y|| at k={bad[0] + 1}")
+    return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
+
+
+def allocating_outer(w, zeta, y, tol):
+    ws = w.values_array(y.size - 1)
+    x = np.divide(y.coords, -zeta)
+    dynamics._affine_scan((ws / zeta)[::-1], x[::-1])
+    cut = reference_series_cut(ws, abs(zeta), y.sup_norm_full(), tol)
+    return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
+
+
+def signed_zero_target(n, seed, nan):
+    """A random target with +0.0 and -0.0 parts, both parts zero in every
+    sign pattern, and a NaN if asked."""
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    parts = coords.view(float)
+    for sign_re, sign_im in ((1, 1), (1, -1), (-1, 1), (-1, -1), (-1, None), (None, -1), (1, None)):
+        k = int(rng.integers(0, n))
+        if sign_re is not None:
+            parts[2 * k] = math.copysign(0.0, sign_re)
+        if sign_im is not None:
+            parts[2 * k + 1] = math.copysign(0.0, sign_im)
+    if nan:
+        parts[int(rng.integers(0, 2 * n))] = math.nan
+    return TruncatedVector(coords, n)
+
+
+def outcome(fn):
+    """Bits of a vector result with its prefix, or the error raised."""
+    try:
+        x = fn()
+    except DivergenceError as exc:
+        return "DivergenceError", str(exc)
+    return x.coords.tobytes(), x.exact_prefix
+
+
+LEAN_WEIGHTS = WeightSequence.periodic([3.0, 1.5, 2.0], prefix=[0.7])
+LEAN_MAPS = [  # identity, inner roots only, one inner and one outer root; monic and not
+    P(0, 1), P(0, 2), P(0, 0.1, 1), P(0, 0.3, 3), P(4.5, -9.5, 1), P(9, -19, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 65536])
+@pytest.mark.parametrize("nan", [False, True])
+def test_lean_kernels_match_allocating_formulations(monkeypatch, n, nan):
+    # every value, signed zero, NaN and error message of the kernels that
+    # write into their output buffer equals that of the formulations that
+    # allocate a temporary per step and always divide by the leading
+    # coefficient; y / 1 can turn -0.0 into 0.0, so a monic map still
+    # divides a target with a zero part
+    y = signed_zero_target(n, n, nan)
+    lean = [outcome(lambda: preimage_power(LEAN_WEIGHTS, y, n0)) for n0 in range(1, 9)]
+    lean += [outcome(lambda: solve_poly(OperatorSpec(LEAN_WEIGHTS, f), y)) for f in LEAN_MAPS]
+    monkeypatch.setattr(dynamics, "preimage_power", allocating_preimage)
+    monkeypatch.setattr(dynamics, "solve_factor_inner", allocating_inner)
+    monkeypatch.setattr(dynamics, "solve_factor_outer", allocating_outer)
+    monkeypatch.setattr(dynamics, "_unchanged_by_unit_division", lambda coords: False)
+    want = [outcome(lambda: allocating_preimage(LEAN_WEIGHTS, y, n0)) for n0 in range(1, 9)]
+    want += [outcome(lambda: solve_poly(OperatorSpec(LEAN_WEIGHTS, f), y)) for f in LEAN_MAPS]
+    assert lean == want
+
+
+def test_unit_division_skipped_only_where_bits_survive():
+    # finite, nonzero parts come through y / 1 unchanged; a zero part or a
+    # non-finite one may not, and the solver then divides
+    rng = np.random.default_rng(11)
+    coords = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    assert dynamics._unchanged_by_unit_division(coords)
+    assert np.array_equal((coords / 1).view(np.uint64), coords.view(np.uint64))
+    for bad in (0.0, -0.0, math.inf, math.nan):
+        c = coords.copy()
+        c.view(float)[17] = bad
+        assert not dynamics._unchanged_by_unit_division(c)
+    assert not dynamics._unchanged_by_unit_division(coords[::-1])
+    assert not dynamics._unchanged_by_unit_division(np.array([complex(-0.0, -0.0)]))
+    assert (np.array([complex(-0.0, -0.0)]) / 1).view(np.uint64).tolist() != [2**63, 2**63]
+
+
+# -- allocations at n = 65536 ---------------------------------------------
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MB = 2**20
+
+
+def test_large_solves_allocate_no_vector_sized_temporaries():
+    # a complex vector of 65536 coordinates is 1 MB and its weights 0.5 MB:
+    # an identity solve and a plain preimage hold the output and the
+    # weights (the allocating formulations peaked at 3.63 and 2.63 MB), and
+    # z^2 + 0.1z one more output between its two factor solves (3.66 MB)
+    w = WeightSequence.constant(2.0)
+    rng = np.random.default_rng(7)
+    y = TruncatedVector(rng.standard_normal(LONG_N) + 1j * rng.standard_normal(LONG_N), LONG_N)
+    assert traced_peak(lambda: solve_poly(OperatorSpec(w, identity_map()), y)) <= 1.75 * MB
+    assert traced_peak(lambda: preimage_power(w, y, 1)) <= 1.75 * MB
+    assert traced_peak(lambda: solve_poly(OperatorSpec(w, P(0, 0.1, 1)), y)) <= 2.75 * MB
 
 
 # -- eigenvectors ------------------------------------------------------------

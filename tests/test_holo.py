@@ -277,6 +277,8 @@ def test_nan_arc_floor_never_retires():
     f = NaNFirstPoint((1, 0, 1))
     cert = min_modulus_on_annulus(f, Annulus(2, 2), Budget(grid_max=1024))
     assert cert.status == UNDECIDED and cert.lower_bound == 0.0
+    # the smallest sample skips the NaN: a NaN-first argmin left it inf
+    assert math.isfinite(cert.min_sampled)
     assert min_modulus_on_annulus(P(1, 0, 1), Annulus(2, 2), Budget(grid_max=1024)).certifies_above
 
 
