@@ -10,7 +10,6 @@ from .weights import (
     SpectralProfile,
     window_product,
     spectral_profile,
-    estimate_profile,
     kappa_forward_power,
 )
 from .holo import (
@@ -42,7 +41,6 @@ from .jclass import (
     decide_unweighted,
     cross_check,
     perturbation_stability,
-    product_preserves_jclass,
 )
 from .dynamics import (
     TruncatedVector,

@@ -29,8 +29,7 @@ from .budget import Budget
 from .holo import Polynomial
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
-from .weights import (WeightSequence, _doubling_levels, _windows, spectral_profile,
-                      window_products)
+from .weights import WeightSequence, log_window_sup, spectral_profile, window_products
 
 __all__ = [
     "TruncatedVector",
@@ -285,31 +284,19 @@ def solve_factor_inner(w: WeightSequence, zeta: complex, y: TruncatedVector) -> 
     return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
 
 
-def _series_cut(ws: np.ndarray, az: float, y_norm: float, tol: float) -> int:
+def _series_cut(w: WeightSequence, n: int, az: float, y_norm: float, tol: float) -> int:
     """Least L with y_norm * max_k w_k ... w_{k+L-1} / az^L <= tol over the
-    windows inside the buffer (none once L reaches its length): an a-priori
-    bound on the resolvent series' stop quantity ||B^L y|| / |zeta|^L, in
-    log space, by an exponential search and a bisection.  Every probe
-    reads the same doubling levels of the log weights, so each level is
-    built once, by the first probe that needs it."""
+    windows inside a buffer of n - 1 weights (none once L reaches n): an
+    a-priori bound on the resolvent series' stop quantity ||B^L y|| / |zeta|^L,
+    in log space, by an exponential search and a bisection.  Every probe
+    reads the closed-form sup ``log_window_sup``, so it costs
+    O(p + period + log n) whatever the buffer's length."""
     if y_norm == 0:
         return 1
-    n, logs = len(ws) + 1, np.log(ws)
-    sums = np.empty(n - 1)  # every probe's window sums, from its first count values
     bound = (math.log(tol) if tol > 0 else -math.inf) - math.log(y_norm)
-    built, source = [], _doubling_levels(logs, np.add)
-
-    def levels():
-        yield from built
-        for level in source:
-            built.append(level)
-            yield level
 
     def stops(L: int) -> bool:
-        if L >= n:
-            return True
-        top = float(_windows(logs, L, n - L, np.add, levels(), sums[: n - L]).max())
-        return top - L * math.log(az) <= bound
+        return L >= n or log_window_sup(w, L, n - L) - L * math.log(az) <= bound
 
     hi = 1
     while not stops(hi):
@@ -337,18 +324,8 @@ def solve_factor_outer(
     # of a buffer of -y / zeta: the b_k, and x_N to start from
     np.divide(y.coords, -zeta, out=x)
     _affine_scan(np.divide(ws, zeta)[::-1], x[::-1])
-    cut = _series_cut(ws, az, y_norm, tol)
+    cut = _series_cut(w, y.size, az, y_norm, tol)
     return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
-
-
-def _root_radius(f: Polynomial, z: complex) -> float:
-    """Radius about z that holds a root of f.  With |f(z)| <= res (Horner's
-    rounding allowance included), the product form gives (res / |a_d|)^(1/d)
-    and f'/f = sum 1/(z - root) gives d res / |f'(z)|."""
-    fz, dfz = f.eval(z, derivative=True)
-    res = abs(fz) + f.eval_round_error(abs(z))
-    rho = (res / abs(f.coeffs[-1])) ** (1.0 / f.degree)
-    return min(rho, f.degree * res / abs(dfz)) if dfz else rho
 
 
 def _unchanged_by_unit_division(coords: np.ndarray) -> bool:
@@ -364,17 +341,17 @@ def _unchanged_by_unit_division(coords: np.ndarray) -> bool:
 
 
 def _solver(op: OperatorSpec, tol: float):
-    """Route the map's roots once; returns y -> x with f(shift) x = y."""
+    """Route the map's roots once, by the root disks of the polish; returns
+    y -> x with f(shift) x = y."""
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("factor-routed solving needs a polynomial map")
     f = op.map
     if f.degree < 1:
         raise ValueError("map must have degree >= 1 to be solved")
     prof = spectral_profile(op.weights)
-    roots = f.roots()
-    near = [_root_radius(f, z) for z in roots]
-    inner = [z for z, rho in zip(roots, near) if abs(z) + rho < prof.r2]
-    outer = [z for z, rho in zip(roots, near) if abs(z) - rho > prof.r1]
+    roots, radii = f.roots(radii=True)
+    inner = [z for z, rho in zip(roots, radii) if abs(z) + rho < prof.r2]
+    outer = [z for z, rho in zip(roots, radii) if abs(z) - rho > prof.r1]
     stuck = [z for z in roots if z not in inner and z not in outer]
     if stuck:
         raise RootInAnnulusError(f"roots {stuck} lie in or near the annulus [{prof.r2}, {prof.r1}]")

@@ -133,7 +133,7 @@ def _round_error(coeffs: tuple[complex, ...], radius: float) -> float:
 
 def _derivative_round_error(coeffs: tuple[complex, ...], radius: float) -> float:
     """``_round_error`` for f' = sum n a_n z^(n-1) on |z| <= radius."""
-    return _round_error(tuple(n * c for n, c in enumerate(coeffs))[1:], radius)
+    return _round_error([n * c for n, c in enumerate(coeffs)][1:], radius)
 
 
 def _quadratic_roots(c: complex, b: complex, a: complex) -> list[complex]:
@@ -171,6 +171,21 @@ def _root_seeds(coeffs: tuple[complex, ...]) -> list[complex]:
     companion = np.diag(np.ones(degree - 1, complex), -1)
     companion[0, :] = -p[1:] / p[0]
     return np.linalg.eigvals(companion).tolist()
+
+
+def _root_radius(coeffs: tuple[complex, ...], z: complex, fz: complex, dz: complex,
+                 allowance: float) -> float:
+    """Radius about z of a disk that holds a root of f, from the computed
+    f(z) and f'(z), whose errors are at most ``allowance`` and
+    ``_derivative_round_error``.  With res = |f(z)| + allowance, the product
+    form f = a_d prod (z - root) gives (res / |a_d|)^(1/d), and
+    f'/f = sum 1/(z - root) gives d res / (|f'(z)| - its allowance) where
+    that difference is positive."""
+    degree = len(coeffs) - 1
+    res = abs(fz) + allowance
+    rho = (res / abs(coeffs[-1])) ** (1.0 / degree)
+    slope = abs(dz) - _derivative_round_error(coeffs, abs(z))
+    return min(rho, degree * res / slope) if slope > 0 else rho
 
 
 @dataclass(frozen=True)
@@ -235,20 +250,26 @@ class Polynomial:
             return NotImplemented
         return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
 
-    def roots(self) -> list[complex]:
-        """All complex roots with multiplicity, Newton-polished.
+    def roots(self, radii: bool = False):
+        """All complex roots with multiplicity, Newton-polished; with
+        ``radii``, the pair (roots, radii): a root of f lies within radii[i]
+        of roots[i].
 
-        Exact zero roots come last, as in ``np.roots``; ``_root_seeds``
-        starts the others.  Newton refines each seed, with one evaluation of
-        f and f' per step, until the residual clears 1e-10 * (1 + max
-        |coeff|), and the root is accepted within that target plus Horner's
-        rounding allowance at its own modulus.  No root is a signed zero.
+        Exact zero roots come last, as in ``np.roots``, with radius 0;
+        ``_root_seeds`` starts the others.  Newton refines each seed, with one
+        evaluation of f and f' per step, until the residual clears 1e-10 *
+        (1 + max |coeff|), and the root is accepted within that target plus
+        Horner's rounding allowance at its own modulus.  Each radius comes
+        from the f and f' of the last step (``_root_radius``).  No root is a
+        signed zero.
         """
         if self.degree < 1:
             raise ValueError("roots are defined for degree >= 1 polynomials")
-        zeros = next(k for k, c in enumerate(self.coeffs) if c != 0)
-        target = 1e-10 * (1.0 + max(abs(c) for c in self.coeffs))
-        roots, residuals = [], []
+        zeros = 0  # exact zero roots; the leading coefficient is nonzero
+        while self.coeffs[zeros] == 0:
+            zeros += 1
+        target = 1e-10 * (1.0 + max(map(abs, self.coeffs)))
+        roots, residuals, disks, failed = [], [], [], False
         for z in _root_seeds(self.coeffs[zeros:]):
             fz, dz = self.eval(z, derivative=True)
             for _ in range(8):
@@ -256,13 +277,19 @@ class Polynomial:
                     break
                 z = z - fz / dz
                 fz, dz = self.eval(z, derivative=True)
-            roots.append(complex(z.real + 0.0, z.imag + 0.0))  # -0.0 + 0.0 is +0.0
+            z = complex(z.real + 0.0, z.imag + 0.0)  # -0.0 + 0.0 is +0.0
+            allowance = self.eval_round_error(abs(z))
+            failed = failed or abs(fz) > target + allowance
+            roots.append(z)
             residuals.append(abs(fz))
-        if any(r > target + self.eval_round_error(abs(z)) for z, r in zip(roots, residuals)):
+            if radii:
+                disks.append(_root_radius(self.coeffs, z, fz, dz, allowance))
+        if failed:
             raise RootRefinementError(
                 f"root refinement residuals {residuals} exceed {target}"
             )
-        return roots + [0j] * zeros
+        roots += [0j] * zeros
+        return (roots, disks + [0.0] * zeros) if radii else roots
 
     def to_dict(self) -> dict:
         return {"kind": "poly", "coeffs": [[c.real, c.imag] for c in self.coeffs]}

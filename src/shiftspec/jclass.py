@@ -57,14 +57,12 @@ __all__ = [
     "Verdict",
     "ConsistencyReport",
     "StabilityReport",
-    "ProductReport",
     "decide_geometric",
     "decide_moduli",
     "decide_unweighted",
     "decide",
     "cross_check",
     "perturbation_stability",
-    "product_preserves_jclass",
 ]
 
 JCLASS = "JCLASS"
@@ -296,60 +294,3 @@ def perturbation_stability(
         if v.decision != base.decision:
             flips.append((t, v.decision, wp.to_dict()))
     return StabilityReport(base, rel_delta, trials, tuple(flips), not flips)
-
-
-@dataclass(frozen=True)
-class ProductReport:
-    factor_verdicts: tuple[Verdict, Verdict]
-    product_verdict: Verdict
-    bound_product: float
-    bound_of_product: float
-    bound_check: bool
-    jclass_preserved: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": [v.to_dict() for v in self.factor_verdicts],
-            "product": self.product_verdict.to_dict(),
-            "boundProduct": self.bound_product,
-            "boundOfProduct": self.bound_of_product,
-            "boundCheck": self.bound_check,
-            "jclassPreserved": self.jclass_preserved,
-        }
-
-
-def product_preserves_jclass(
-    op1: OperatorSpec,
-    op2: OperatorSpec,
-    budget: Budget | None = None,
-) -> ProductReport:
-    """Check that the product of two commuting J-class images stays J-class.
-
-    The factors share the weight sequence, so their images commute and the
-    product operator is the image under the coefficient-convolution product
-    of the maps.  The certified annulus bound is supermultiplicative:
-    min |fg| >= (min |f|)(min |g|), checked here within certification
-    widths.
-    """
-    if op1.weights != op2.weights:
-        raise ValueError("product check needs a shared weight sequence")
-    if not (isinstance(op1.map, Polynomial) and isinstance(op2.map, Polynomial)):
-        raise UnsupportedMapError("product check needs polynomial maps")
-    v1 = decide_geometric(op1, budget)
-    v2 = decide_geometric(op2, budget)
-    if not (v1.decision == JCLASS and v2.decision == JCLASS):
-        raise ValueError("both factors must be certified JCLASS")
-    prod_op = OperatorSpec(op1.weights, op1.map * op2.map)
-    vp = decide_geometric(prod_op, budget)
-    lb1, lb2 = v1.condition_a.lower_bound, v2.condition_a.lower_bound
-    lbp = vp.condition_a.lower_bound
-    width = vp.condition_a.width
-    ok = lbp >= lb1 * lb2 - width - 1e-9
-    return ProductReport(
-        factor_verdicts=(v1, v2),
-        product_verdict=vp,
-        bound_product=lb1 * lb2,
-        bound_of_product=lbp,
-        bound_check=ok,
-        jclass_preserved=vp.decision == JCLASS,
-    )

@@ -45,7 +45,6 @@ __all__ = [
     "i_of_adjoint",
     "kernel_nontrivial",
     "brute_force_modulus",
-    "forward_shift_matrix",
     "compressed_forward_power_matrix",
     "induced_matrix_norm",
     "UnsupportedMapError",
@@ -231,15 +230,6 @@ def kernel_nontrivial(op: OperatorSpec) -> KernelReport:
 
 
 # -- finite truncation oracles ---------------------------------------------
-
-
-def forward_shift_matrix(w: WeightSequence, n: int) -> np.ndarray:
-    """Naive n x n truncation of the weighted forward shift e_k -> w_k e_{k+1}.
-
-    The last basis vector maps out of range, so the truncated injectivity
-    modulus is spuriously 0; use the compressed power for modulus oracles.
-    """
-    return np.diag(w.values_array(n - 1).astype(complex), -1)
 
 
 def compressed_forward_power_matrix(w: WeightSequence, n: int, power: int) -> np.ndarray:

@@ -15,17 +15,22 @@ levels that ``_doubling_levels`` builds:
 overflowing only where a window's product leaves float range) and
 ``log_window_products`` adds their logs, for kappa's windows of thousands
 of weights.  ``window_products`` builds the levels in place, so a window
-length that is a power of two allocates nothing past the weights array.
-``estimate_profile`` grows its log window sums one weight at a
-time.  ``values_array`` fills its array by slices, one per doubling block
-or one period copied onward in doubling runs, so n weights take O(log n)
-numpy calls.  Nothing is cached, values are immutable and every function is
-pure, apart from the scratch buffer a caller may lend ``window_products``.
+length that is a power of two allocates nothing past the weights array,
+and a window of one weight is the weights array itself.  The extreme log
+window sums, ``log_kappa_forward_power`` (inf) and ``log_window_sup``
+(sup), read the tail's structure instead of a whole buffer.
+``values_array`` fills its array by slices, one per a-block of doubling
+blocks or one broadcast of the period and its doubling copies, so n weights
+take O(log n) numpy calls.  Values
+are immutable and every function is pure, apart from the scratch buffer a
+caller may lend ``window_products``; the one thing kept is each sequence's
+closed-form radii, computed on first request.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -40,9 +45,9 @@ __all__ = [
     "window_products",
     "log_window_products",
     "spectral_profile",
-    "estimate_profile",
     "kappa_forward_power",
     "log_kappa_forward_power",
+    "log_window_sup",
 ]
 
 
@@ -161,30 +166,40 @@ class WeightSequence:
         return t.a if block % 2 == 0 else t.b
 
     def values_array(self, n: int) -> np.ndarray:
-        """First n weights as a float array, filled by slices: one per
-        doubling block, or one period copied onward in doubling runs."""
+        """First n weights as a float array, filled by slices: b everywhere
+        and a on its doubling blocks, or a broadcast of the period and
+        doubling copies."""
         if n <= 0:
             return np.empty(0)
         p = len(self.prefix)
         out = np.empty(n)
         head = min(p, n)
-        out[:head] = self.prefix[:head]
+        if head:  # an empty slice assignment costs as much as a short fill
+            out[:head] = self.prefix[:head]
         tail = out[head:]
         t = self.tail
         if isinstance(t, ConstantTail):
             tail[:] = t.value
         elif isinstance(t, PeriodicTail):
-            done = min(len(t.values), len(tail))
-            tail[:done] = t.values[:done]
-            while done < len(tail):  # whole periods, so every copy keeps the phase
+            # one broadcast over a (periods, period) view fills up to about
+            # 256 weights; past that, copies of the filled whole periods,
+            # doubling, which beat a broadcast with a short inner axis
+            period = len(t.values)
+            done = min(len(tail) // period, max(1, 256 // period)) * period
+            if done:
+                tail[:done].reshape(-1, period)[:] = t.values
+            else:  # less than one period
+                tail[:] = t.values[: len(tail)]
+            while 0 < done < len(tail):
                 step = min(done, len(tail) - done)
                 tail[done : done + step] = tail[:step]
                 done += step
         else:
-            start = 1  # block m holds tail positions 2^m .. 2^(m+1) - 1
+            tail[:] = t.b
+            start = 1  # a-block 2k holds tail positions 4^k .. 2 4^k - 1
             while start <= len(tail):
-                tail[start - 1 : 2 * start - 1] = t.a if start.bit_length() % 2 else t.b
-                start *= 2
+                tail[start - 1 : 2 * start - 1] = t.a
+                start *= 4
         return out
 
     def upper_bound(self) -> float:
@@ -196,6 +211,12 @@ class WeightSequence:
         else:
             tail_max = max(t.a, t.b)
         return max((*self.prefix, tail_max))
+
+    @cached_property
+    def _profile(self) -> "SpectralProfile":
+        """The closed-form radii, computed on first request; the instance
+        is frozen, so they never go stale."""
+        return _closed_form_profile(self.tail)
 
     # -- serialization -----------------------------------------------------
 
@@ -259,11 +280,14 @@ def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None, out=N
 
 def window_products(w: WeightSequence, n: int, count: int, scratch=None) -> np.ndarray:
     """w_k ... w_{k+n-1} for k = 1..count as direct float products, returned
-    in the array of the weights themselves.  A power-of-two n builds its
-    doubling levels in place there; any other n builds them in ``scratch``
-    (a float buffer of at least count + n - 1 values, else a fresh array)
-    and multiplies the ones it selects into the weights' array."""
+    in the array of the weights themselves.  A window of one weight is that
+    array; any other power-of-two n builds its doubling levels in place
+    there; any other n builds them in ``scratch`` (a float buffer of at
+    least count + n - 1 values, else a fresh array) and multiplies the ones
+    it selects into the weights' array."""
     a = w.values_array(count + n - 1)
+    if n == 1:
+        return a
     if n & (n - 1) == 0:
         return _windows(a, n, count, np.multiply, _doubling_levels(a, np.multiply, in_place=True))
     levels = np.empty_like(a) if scratch is None else scratch[: len(a)]
@@ -318,44 +342,103 @@ def kappa_forward_power(w: WeightSequence, n: int) -> float:
     return math.exp(log_kappa_forward_power(w, n))
 
 
-EXACT = "EXACT"
-ESTIMATED = "ESTIMATED"
+def _a_positions(x: int) -> int:
+    """How many of the tail positions 1..x lie in a-blocks of doubling
+    blocks: block m holds positions 2^m .. 2^(m+1) - 1, a for even m."""
+    if x < 1:
+        return 0
+    top = x.bit_length() - 1  # the block that holds x
+    below = (4 ** ((top + 1) // 2) - 1) // 3  # a-blocks 0, 2, ... before it
+    return below + (x - (1 << top) + 1 if top % 2 == 0 else 0)
+
+
+def log_window_sup(w: WeightSequence, n: int, count: int) -> float:
+    """max log(w_k ... w_{k+n-1}) over k = 1..count in closed form, the sup
+    counterpart of ``log_kappa_forward_power`` over a buffer of count + n - 1
+    weights; ``log_window_products(w, n, count).max()`` up to the order of
+    summation.
+
+    Windows that start in the prefix are summed one by one.  In the tail,
+    ``run(j, m)`` sums the logs of positions j .. j+m-1 from whole periods
+    or from the count of a's, so its rounding does not grow with j or m.
+    The tail windows are all equal (constant), one per phase (periodic), or
+    linear in the start between starts where a window edge meets a block
+    edge (doubling blocks): the first start of the most weights of the
+    larger value is 1, the last start, the start of such a block or that of
+    a window that ends one, O(log count) starts.
+    """
+    if n < 1 or count < 1:
+        raise ValueError("window length and count must be >= 1")
+    p, t = len(w.prefix), w.tail
+    last = count - p  # the last window start in the tail, as a tail position
+    if isinstance(t, ConstantTail):
+        log_c = math.log(t.value)
+        run = lambda j, m: m * log_c  # noqa: E731
+        starts = [1]
+    elif isinstance(t, PeriodicTail):
+        logs = [math.log(v) for v in t.values]
+        period, total = len(logs), sum(logs)
+        cycle = logs + logs
+
+        def run(j, m):
+            full, rest = divmod(m, period)
+            phase = (j - 1) % period
+            return full * total + sum(cycle[phase : phase + rest])
+
+        starts = range(1, min(period, last) + 1)
+    else:
+        log_a, log_b = math.log(t.a), math.log(t.b)
+
+        def run(j, m):
+            na = _a_positions(j + m - 1) - _a_positions(j - 1)
+            return na * log_a + (m - na) * log_b
+
+        hi_starts = [1 << m for m in range(int(log_a < log_b), (last + n).bit_length(), 2)]
+        # a whole window fits in the last hi-block the buffer reaches or in
+        # the one before it, if in any
+        end = last + n - 1  # the buffer's last tail position
+        if hi_starts and min(hi_starts[-1], end - hi_starts[-1] + 1) >= n:
+            starts = hi_starts[-1:]
+        elif len(hi_starts) > 1 and hi_starts[-2] >= n:
+            starts = hi_starts[-2:-1]
+        else:
+            starts = {1, last} | {e for e in hi_starts if e <= last}
+            starts |= {2 * e - n for e in hi_starts if 1 <= 2 * e - n <= last}
+    best = -math.inf
+    for k in range(1, min(p, count) + 1):
+        inside = w.prefix[k - 1 : k - 1 + n]  # the window's weights in the prefix
+        best = max(best, sum(math.log(v) for v in inside) + run(1, n - len(inside)))
+    if last >= 1:
+        best = max(best, max(run(j, n) for j in starts))
+    return best
 
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """The radii (r1, r2, r3) of a weight sequence with an exactness marker."""
+    """The closed-form radii (r1, r2, r3) of a weight sequence."""
 
     r1: float
     r2: float
     r3: float
-    exactness: str = EXACT
-    window_size: int | None = None
-    spread: float | None = None
 
     def __post_init__(self):
         slack = 1e-9 * max(1.0, self.r1)
-        if self.exactness == ESTIMATED and self.spread is not None:
-            slack += 4.0 * self.spread
         if not (-slack <= self.r3 - self.r2 and -slack <= self.r1 - self.r3):
             raise ValueError(
                 f"radius ordering violated: r2={self.r2} r3={self.r3} r1={self.r1}"
             )
 
-    @property
-    def exact(self) -> bool:
-        return self.exactness == EXACT
-
     def to_dict(self) -> dict:
-        d = {"r1": self.r1, "r2": self.r2, "r3": self.r3, "exactness": self.exactness}
-        if not self.exact:
-            d["windowSize"] = self.window_size
-            d["spread"] = self.spread
-        return d
+        return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "exactness": "EXACT"}
 
 
 def spectral_profile(w: WeightSequence) -> SpectralProfile:
-    """Closed-form radii.
+    """Closed-form radii, computed once per sequence and kept on it."""
+    return w._profile
+
+
+def _closed_form_profile(t: Tail) -> SpectralProfile:
+    """The radii of any sequence with tail t.
 
     A finite prefix contributes O(1) to every cumulative log sum, so it
     vanishes in all three n-th-root limits; only the tail matters.  For
@@ -363,7 +446,6 @@ def spectral_profile(w: WeightSequence) -> SpectralProfile:
     mean at ends of minimal-value blocks, where the value split is exactly
     one third max-blocks, two thirds min-blocks.
     """
-    t = w.tail
     if isinstance(t, ConstantTail):
         c = t.value
         return SpectralProfile(c, c, c)
@@ -373,47 +455,3 @@ def spectral_profile(w: WeightSequence) -> SpectralProfile:
     hi, lo = max(t.a, t.b), min(t.a, t.b)
     r3 = math.exp(math.log(hi) / 3.0 + 2.0 * math.log(lo) / 3.0)
     return SpectralProfile(hi, lo, r3)
-
-
-def estimate_profile(
-    w: WeightSequence,
-    n_max: int = 128,
-    k_max: int = 4096,
-    run_len: int = 4096,
-) -> SpectralProfile:
-    """Numeric window-sweep estimate of (r1, r2, r3).
-
-    r1 is estimated as min over n of sup_k and r2 as max over n of inf_k of
-    the n-th-root window means (both one-sided approximations of their
-    limits), r3 as the minimum running mean over the last seven eighths of
-    the run.  The spread between the half-budget and full-budget values is
-    reported; a spread above the caller's tolerance signals non-convergence
-    at this budget.
-    """
-    logs = np.log(w.values_array(max(k_max + n_max - 1, run_len)))
-    log_r1 = math.inf
-    log_r2 = -math.inf
-    log_r1_half = log_r2_half = None
-    sums = np.zeros(k_max)  # log windows of length n, one weight added per n
-    for n in range(1, n_max + 1):
-        sums += logs[n - 1 : n - 1 + k_max]
-        means = sums / n
-        log_r1 = min(log_r1, float(means.max()))
-        log_r2 = max(log_r2, float(means.min()))
-        if n == n_max // 2:
-            log_r1_half, log_r2_half = log_r1, log_r2
-
-    running = np.cumsum(logs[:run_len]) / np.arange(1, run_len + 1)
-    log_r3 = float(running[run_len // 8 :].min())
-    log_r3_half = float(running[run_len // 16 : run_len // 2].min())
-
-    r1, r2 = math.exp(log_r1), math.exp(log_r2)
-    r3 = math.exp(max(log_r2, min(log_r3, log_r1)))
-    spread = max(
-        abs(r1 - math.exp(log_r1_half)),
-        abs(r2 - math.exp(log_r2_half)),
-        abs(r3 - math.exp(log_r3_half)),
-    )
-    return SpectralProfile(
-        r1, r2, r3, exactness=ESTIMATED, window_size=n_max, spread=float(spread)
-    )

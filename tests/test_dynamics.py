@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import shiftspec.dynamics as dynamics
 import shiftspec.holo
+import shiftspec.weights as weights
 from conftest import random_weights
 from shiftspec.budget import Budget
 from shiftspec.dynamics import (
@@ -453,9 +454,9 @@ def reference_series_cut(ws, az, y_norm, tol):
 @pytest.mark.parametrize("n", [2, 3, 64, 257, 4097])
 @pytest.mark.parametrize("kind", ["constant", "periodic", "blocks"])
 def test_series_cut_matches_per_probe_reference(n, kind):
-    # the kept doubling levels give the same sums, so the same cut L, for
-    # prefixes of up to 6 weights in [0.01, 100], |zeta| in (r1, 4 r1) and
-    # tol from 1e-15 to 1e-3
+    # the closed-form window sup gives the cut L that replaying the
+    # buffer's log window sums gives, for prefixes of up to 6 weights in
+    # [0.01, 100], |zeta| in (r1, 4 r1) and tol from 1e-15 to 1e-3
     rng = np.random.default_rng(n)
     for _ in range(40):
         prefix = tuple(10.0 ** rng.uniform(-2, 2, int(rng.integers(0, 7))))
@@ -466,7 +467,7 @@ def test_series_cut_matches_per_probe_reference(n, kind):
         az = spectral_profile(w).r1 * rng.uniform(1.0, 4.0)
         tol, y_norm = 10.0 ** rng.uniform(-15, -3), 10.0 ** rng.uniform(-3, 3)
         ws = w.values_array(n - 1)
-        assert dynamics._series_cut(ws, az, y_norm, tol) == reference_series_cut(ws, az, y_norm, tol)
+        assert dynamics._series_cut(w, n, az, y_norm, tol) == reference_series_cut(ws, az, y_norm, tol)
 
 
 def test_outer_factor_zero_keeps_prefix():
@@ -555,18 +556,60 @@ def test_solve_poly_routes_each_root_to_one_public_solver(monkeypatch, coeffs, r
     assert calls == routed
 
 
+@pytest.mark.parametrize("coeffs", [(0, 0.1, 1), (4.5, -9.5, 1)], ids=["zero_inner", "inner_outer"])
+def test_solve_poly_evaluates_only_in_the_polish(monkeypatch, coeffs):
+    # routing reads the root disks of the polish, so a solve evaluates the
+    # map exactly as often as root finding alone (not once more per root)
+    f = P(*coeffs)
+    calls, evaluate = [], Polynomial.eval
+    monkeypatch.setattr(Polynomial, "eval", lambda self, z, derivative=False:
+                        calls.append(z) or evaluate(self, z, derivative))
+    f.roots()
+    polish = len(calls)
+    solve_poly(const_op(2.0, f), TruncatedVector.ones(256))
+    assert len(calls) == 2 * polish
+
+
+def test_witness_computes_the_radii_once_per_sequence(monkeypatch):
+    # the router and every factor solve read the radii kept on the weight
+    # sequence, so three 5-stage witnesses on one sequence (the identity,
+    # z^2 + 0.1z and (z - 0.5)(z - 9)) build its closed-form profile once
+    made = []
+
+    class Counted(weights.SpectralProfile):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(weights, "SpectralProfile", Counted)
+    for spec in ({"prefix": [], "tail": {"kind": "constant", "value": 2.0}},
+                 {"prefix": [], "tail": {"kind": "periodic", "values": [3.0, 1.5, 2.0]}},
+                 {"prefix": [], "tail": {"kind": "blocks", "a": 3.0, "b": 2.0}}):
+        w = WeightSequence.from_dict(spec)
+        made.clear()
+        for coeffs in ((0, 1), (0, 0.1, 1), (4.5, -9.5, 1)):
+            mixing_witness(OperatorSpec(w, P(*coeffs)), TruncatedVector.ones(256), 5)
+        assert len(made) == 1 and spectral_profile(w) is made[0]
+
+
 def test_root_radius_evaluates_through_the_map(monkeypatch):
-    # each root's radius takes one f.eval(z, derivative=True), which the
-    # evaluation counters see; a scalar runs the same Horner recurrence
+    # each root's radius comes from the f(z) and f'(z) of the polish's last
+    # step, an f.eval(z, derivative=True) that the evaluation counters see,
+    # so asking for the radii adds no evaluation; the log-derivative form
+    # divides by |f'(z)| less its rounding allowance
     f = P(4.5, -9.5, 1)
     calls, evaluate = [], Polynomial.eval
     monkeypatch.setattr(Polynomial, "eval", lambda self, z, derivative=False:
                         calls.append(derivative) or evaluate(self, z, derivative))
-    rho = dynamics._root_radius(f, 9.0 + 1e-9j)
-    assert calls == [True]
-    fz, dfz, _ = shiftspec.holo._horner_scalar(f.coeffs, 9.0 + 1e-9j)
-    res = abs(fz) + f.eval_round_error(abs(9.0 + 1e-9j))
-    assert rho == min((res / abs(f.coeffs[-1])) ** 0.5, 2 * res / abs(dfz))
+    roots = f.roots()
+    polish = len(calls)
+    again, radii = f.roots(radii=True)
+    assert again == roots and calls == [True] * (2 * polish)
+    for z, rho in zip(roots, radii):
+        fz, dfz, _ = shiftspec.holo._horner_scalar(f.coeffs, z)
+        res = abs(fz) + f.eval_round_error(abs(z))
+        slope = abs(dfz) - f.derivative_error(abs(z))
+        assert slope > 0 and rho == min((res / abs(f.coeffs[-1])) ** 0.5, 2 * res / slope)
 
 
 # -- mixing witness -------------------------------------------------------------
@@ -929,6 +972,15 @@ def test_large_solves_allocate_no_vector_sized_temporaries():
     assert traced_peak(lambda: solve_poly(OperatorSpec(w, identity_map()), y)) <= 1.75 * MB
     assert traced_peak(lambda: preimage_power(w, y, 1)) <= 1.75 * MB
     assert traced_peak(lambda: solve_poly(OperatorSpec(w, P(0, 0.1, 1)), y)) <= 2.75 * MB
+
+
+def test_outer_solve_holds_no_log_levels():
+    # the exact-prefix cut reads the closed-form window sup, so an outer
+    # solve holds its output, the weights and their complex step factors
+    # (replaying the buffer's log doubling levels peaked at 5.0 MB)
+    rng = np.random.default_rng(7)
+    y = TruncatedVector(rng.standard_normal(LONG_N) + 1j * rng.standard_normal(LONG_N), LONG_N)
+    assert traced_peak(lambda: solve_factor_outer(WeightSequence.constant(0.5), 3.0, y)) <= 2.75 * MB
 
 
 # -- eigenvectors ------------------------------------------------------------

@@ -21,7 +21,8 @@ one of them has |f(z)| = |stored part| - eval_error at any given z, so a
 certified bound must clear the stored part by eval_error on each boundary
 circle.  Winding numbers are checked against the roots inside the circle,
 located by mpmath.polyroots at 50 digits, and Polynomial.roots against the
-same roots, each within twice the radius its residual proves.
+same roots, each within twice the radius its residual proves; every root
+disk that the polish returns holds one of them.
 """
 import itertools
 import math
@@ -34,7 +35,8 @@ from hypothesis import strategies as st
 from conftest import (random_instance, random_poly, random_series, random_weights,
                       threshold_instance)
 from shiftspec.budget import Budget
-from shiftspec.holo import CERTIFIED, Annulus, Polynomial, min_modulus_on_annulus, winding_number
+from shiftspec.holo import (CERTIFIED, Annulus, Polynomial, RootRefinementError, min_modulus_on_annulus,
+                            winding_number)
 from shiftspec.spectra import OperatorSpec, i_of_adjoint
 from shiftspec.weights import TwoValueDoublingBlocks, spectral_profile
 
@@ -317,3 +319,44 @@ def test_roots_match_mpmath(planted, double, lead, zeros, scale):
     assert any(all(abs(mpmath.mpc(z.real, z.imag) - exact[j]) <= t
                    for z, t, j in zip(roots, reach, perm))
                for perm in itertools.permutations(range(len(exact))))
+
+
+def _disk_polynomial(rng) -> Polynomial:
+    """Degree 1-9: random coefficients of modulus 10^-30 to 10^30, planted
+    roots under an overall scale of 10^-30 to 10^30, or planted roots with a
+    cluster of up to four nearly equal ones (relative gaps 1e-12 to 1e-4)."""
+    degree = int(rng.integers(1, 10))
+    phases = lambda k: np.exp(2j * math.pi * rng.uniform(size=k))  # noqa: E731
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        coeffs = 10.0 ** rng.uniform(-30, 30, degree + 1) * phases(degree + 1)
+        return Polynomial(tuple(complex(c) for c in coeffs))
+    planted = 10.0 ** rng.uniform(-1, 1, degree) * phases(degree)
+    if kind == 2:
+        size = min(degree, int(rng.integers(2, 5)))
+        gaps = 10.0 ** rng.uniform(-12, -4, size - 1) * phases(size - 1)
+        planted[1:size] = planted[0] * (1.0 + gaps)
+    desc = np.poly(planted) * 10.0 ** rng.uniform(-30, 30) * phases(1)[0]
+    return Polynomial(tuple(complex(c) for c in desc[::-1]))
+
+
+def test_root_disks_hold_a_root():
+    # every disk of roots(radii=True) holds a root of f at 50 digits: the
+    # product form and the log-derivative form less f''s rounding allowance
+    # are both sound, also for clusters and for coefficients up to 1e+-30;
+    # a polynomial whose polish fails (RootRefinementError) returns no disks
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(120):
+        f = _disk_polynomial(rng)
+        try:
+            roots, radii = f.roots(radii=True)
+        except RootRefinementError:
+            continue
+        assert roots == f.roots() and len(radii) == f.degree
+        exact = _exact_roots(f.coeffs)
+        for z, rho in zip(roots, radii):
+            assert rho >= 0.0
+            assert min(abs(mpmath.mpc(z.real, z.imag) - e) for e in exact) <= rho
+        checked += 1
+    assert checked >= 100

@@ -13,7 +13,6 @@ from shiftspec.spectra import (
     UnsupportedMapError,
     brute_force_modulus,
     compressed_forward_power_matrix,
-    forward_shift_matrix,
     i_of_adjoint,
     induced_matrix_norm,
     kernel_nontrivial,
@@ -28,6 +27,15 @@ def P(*coeffs):
 
 def const_op(c, f=None):
     return OperatorSpec(WeightSequence.constant(c), f or identity_map())
+
+
+def forward_shift_matrix(w: WeightSequence, n: int) -> np.ndarray:
+    """Naive n x n truncation of the weighted forward shift e_k -> w_k e_{k+1}.
+
+    The last basis vector maps out of range, so the truncated injectivity
+    modulus is spuriously 0; use the compressed power for modulus oracles.
+    """
+    return np.diag(w.values_array(n - 1).astype(complex), -1)
 
 
 # -- spectral pictures ----------------------------------------------------

@@ -101,3 +101,29 @@ def test_traced_cross_check_records_one_geometric_decision():
     assert names.count("jclass.cross_check") == 1
     assert spans["parent"][names.index("jclass.decide_geometric")] == names.index("jclass.cross_check")
     assert tracer.summarize()["jclass.decide_calls"] == 1
+
+
+@pytest.mark.parametrize("coeffs, spans", [
+    ((4.5, -9.5, 1), {"solve_factor_outer": 1, "solve_factor_inner": 1, "preimage_power": 0}),
+    ((0, 0.1, 1), {"solve_factor_outer": 0, "solve_factor_inner": 1, "preimage_power": 1}),
+], ids=["inner_outer", "zero_inner"])
+def test_traced_solve_poly_records_one_span_per_factor(coeffs, spans):
+    # each root is solved through one public factor solver, nested under
+    # solve_poly, so dynamics.solve_ms.* and dynamics.inner_steps count
+    # every factor solve once
+    from shiftspec import dynamics, holo, spectra, weights
+
+    op = spectra.OperatorSpec(weights.WeightSequence.constant(2.0), holo.Polynomial(coeffs))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dynamics.solve_poly(op, dynamics.TruncatedVector.ones(256))
+    finally:
+        tracer.uninstall()
+    arrays = tracer.arrays()
+    names = [tracer.names[i] for i in arrays["name"]]
+    top = names.index("dynamics.solve_poly")
+    for name, count in spans.items():
+        assert names.count(f"dynamics.{name}") == count
+        assert all(arrays["parent"][i] == top for i, nm in enumerate(names) if nm == f"dynamics.{name}")
+    assert tracer.summarize()["dynamics.inner_steps"] == 255

@@ -1,24 +1,90 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shiftspec.weights as weights
 from conftest import naive_kappa_scan, naive_window_product, random_weights
 from shiftspec.weights import (
     ConstantTail,
     PeriodicTail,
     TwoValueDoublingBlocks,
     WeightSequence,
-    estimate_profile,
     kappa_forward_power,
     log_kappa_forward_power,
     log_window_products,
+    log_window_sup,
     spectral_profile,
     window_product,
     window_products,
 )
 from shiftspec.weights import _windows
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Radii (r1, r2, r3) measured by a window sweep, with the spread
+    between its half- and full-budget values."""
+
+    r1: float
+    r2: float
+    r3: float
+    spread: float
+
+    def __post_init__(self):
+        # the closed forms' ordering r2 <= r3 <= r1, widened by the spread
+        slack = 1e-9 * max(1.0, self.r1) + 4.0 * self.spread
+        if not (-slack <= self.r3 - self.r2 and -slack <= self.r1 - self.r3):
+            raise ValueError(
+                f"radius ordering violated: r2={self.r2} r3={self.r3} r1={self.r1}"
+            )
+
+
+def estimate_profile(
+    w: WeightSequence,
+    n_max: int = 128,
+    k_max: int = 4096,
+    run_len: int = 4096,
+) -> Estimate:
+    """Numeric window-sweep estimate of (r1, r2, r3), the independent oracle
+    for the closed forms of ``spectral_profile``.
+
+    r1 is estimated as min over n of sup_k and r2 as max over n of inf_k of
+    the n-th-root window means (both one-sided approximations of their
+    limits), r3 as the minimum running mean over the last seven eighths of
+    the run.  The spread between the half-budget and full-budget values is
+    reported; a spread above the caller's tolerance signals non-convergence
+    at this budget.
+    """
+    logs = np.log(w.values_array(max(k_max + n_max - 1, run_len)))
+    log_r1 = math.inf
+    log_r2 = -math.inf
+    log_r1_half = log_r2_half = None
+    sums = np.zeros(k_max)  # log windows of length n, one weight added per n
+    for n in range(1, n_max + 1):
+        sums += logs[n - 1 : n - 1 + k_max]
+        means = sums / n
+        log_r1 = min(log_r1, float(means.max()))
+        log_r2 = max(log_r2, float(means.min()))
+        if n == n_max // 2:
+            log_r1_half, log_r2_half = log_r1, log_r2
+
+    running = np.cumsum(logs[:run_len]) / np.arange(1, run_len + 1)
+    log_r3 = float(running[run_len // 8 :].min())
+    log_r3_half = float(running[run_len // 16 : run_len // 2].min())
+
+    r1, r2 = math.exp(log_r1), math.exp(log_r2)
+    r3 = math.exp(max(log_r2, min(log_r3, log_r1)))
+    spread = max(
+        abs(r1 - math.exp(log_r1_half)),
+        abs(r2 - math.exp(log_r2_half)),
+        abs(r3 - math.exp(log_r3_half)),
+    )
+    return Estimate(r1, r2, r3, float(spread))
 
 
 def test_indexing_constant_and_prefix():
@@ -150,10 +216,48 @@ def test_window_product_no_overflow_for_long_windows():
     assert log_kappa_forward_power(w, 2000) == pytest.approx(2000 * math.log(4.0))
 
 
+_weight = st.floats(1e-3, 1e3)
+_tail = st.one_of(
+    st.builds(ConstantTail, _weight),
+    st.lists(_weight, min_size=1, max_size=5).map(lambda v: PeriodicTail(tuple(v))),
+    st.builds(TwoValueDoublingBlocks, _weight, _weight),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    prefix=st.lists(_weight, max_size=8),
+    tail=_tail,
+    n=st.one_of(st.integers(1, 12), st.integers(1, 300)),
+    count=st.one_of(st.integers(1, 12), st.integers(1, 5000)),
+)
+def test_log_window_sup_matches_the_buffer_max(prefix, tail, n, count):
+    # windows that start in the prefix, straddle it or lie in the tail,
+    # counts below one period and past many doubling blocks: the closed-form
+    # sup is the max of the buffer's log window sums to a relative 1e-13 of
+    # the largest sum of |log w| over a window, the scale of their rounding
+    w = WeightSequence(tuple(prefix), tail)
+    ref = float(log_window_products(w, n, count).max())
+    scale = n * float(np.abs(np.log(w.values_array(count + n - 1))).max())
+    assert abs(log_window_sup(w, n, count) - ref) <= 1e-13 * scale
+
+
+def test_one_weight_windows_are_the_weights(monkeypatch):
+    # a window of one weight is the weights array itself: no doubling level
+    built, levels = [], weights._doubling_levels
+    monkeypatch.setattr(weights, "_doubling_levels",
+                        lambda *args, **kwargs: built.append(args) or levels(*args, **kwargs))
+    for w in (WeightSequence.constant(2.0, prefix=[0.5]), WeightSequence.periodic([3.0, 1.5, 2.0]),
+              WeightSequence.doubling_blocks(3.0, 2.0)):
+        for count in (1, 255, 4096):
+            assert window_products(w, 1, count).tolist() == w.values_array(count).tolist()
+    assert built == []
+
+
 def test_spectral_profile_constant():
     prof = spectral_profile(WeightSequence.constant(2.0))
     assert (prof.r1, prof.r2, prof.r3) == (2.0, 2.0, 2.0)
-    assert prof.exact
+    assert prof.to_dict()["exactness"] == "EXACT"
 
 
 def test_spectral_profile_periodic_geomean():
