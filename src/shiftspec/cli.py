@@ -16,7 +16,6 @@ included, and a map whose roots cannot be polished), 70 simulation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -24,11 +23,10 @@ import sys
 import numpy as np
 
 from .budget import Budget
-from .dynamics import (DivergenceError, TruncatedVector, jset_experiment, mixing_witness,
-                       orbit_envelope)
 from .jclass import JCLASS, NOT_JCLASS, VERDICT_UNDECIDED, decide
 from .spectra import OperatorSpec, UnsupportedMapError, spectral_picture
-from .svgplot import contour_csv_rows, render_svg
+
+# dynamics, svgplot and csv load in the subcommands that use them: decide never compiles them
 
 __all__ = ["main", "load_instance"]
 
@@ -72,9 +70,11 @@ def load_instance(path: str) -> tuple[OperatorSpec, Budget]:
     return op, budget
 
 
-def _load_vector(path: str, n: int) -> TruncatedVector:
-    """The file's vector cut or zero-padded to n coordinates; the exact
-    prefix is the file's, at most n (padding carries no claim)."""
+def _load_vector(path: str, n: int):
+    """The file's TruncatedVector cut or zero-padded to n coordinates; the
+    exact prefix is the file's, at most n (padding carries no claim)."""
+    from .dynamics import TruncatedVector
+
     data = _read_json(path)
     try:
         if isinstance(data, list):
@@ -83,6 +83,15 @@ def _load_vector(path: str, n: int) -> TruncatedVector:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseFailure(f"{path}: invalid vector: {exc}") from exc
     return TruncatedVector(np.pad(x.coords[:n], (0, max(0, n - x.size))), min(n, x.exact_prefix))
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit(obj: dict) -> None:
@@ -115,6 +124,18 @@ def cmd_decide(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import DivergenceError
+
+    try:
+        return _simulate(args)
+    except DivergenceError as exc:
+        print(f"simulation failure: {exc}", file=sys.stderr)
+        return EXIT_SIM_FAILED
+
+
+def _simulate(args) -> int:
+    from .dynamics import TruncatedVector, jset_experiment, mixing_witness, orbit_envelope
+
     if args.jset_start and (args.out or args.orbit_csv):
         raise ParseFailure("--jset-start writes no --out or --orbit-csv file")
     op, budget = load_instance(args.path)
@@ -124,34 +145,23 @@ def cmd_simulate(args) -> int:
 
     verdict, _ = decide(op, route="geometric", budget=budget)
     if verdict.decision != JCLASS:
-        print(
-            f"refusing to simulate: instance decided {verdict.decision}",
-            file=sys.stderr,
-        )
+        print(f"refusing to simulate: instance decided {verdict.decision}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
     if args.jset_start:
         start = _load_vector(args.jset_start, n)
-        rep = jset_experiment(
-            op, start, [target], budget=budget, seed=args.seed, verdict=verdict
-        )
+        rep = jset_experiment(op, start, [target], budget=budget, seed=args.seed, verdict=verdict)
         _emit(rep.to_dict())
         return 0 if rep.status != "INCONCLUSIVE" else EXIT_SIM_FAILED
 
     wit = mixing_witness(op, target, args.stages, budget=budget, verdict=verdict)
     _emit(wit.to_dict())
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "norm", "norm_bound", "round_trip_residual"])
-            for s in wit.stages:
-                writer.writerow([s.index, repr(s.norm), repr(s.norm_bound), repr(s.round_trip_residual)])
+        _write_csv(args.out, ["m", "norm", "norm_bound", "round_trip_residual"],
+                   ((s.index, s.norm, s.norm_bound, s.round_trip_residual) for s in wit.stages))
     if args.orbit_csv:
-        with open(args.orbit_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "prefix_sup", "tail_sup"])
-            for row in orbit_envelope(op, target, args.stages):
-                writer.writerow([row[0], repr(row[1]), repr(row[2])])
+        _write_csv(args.orbit_csv, ["n", "prefix_sup", "tail_sup"],
+                   orbit_envelope(op, target, args.stages))
     if not wit.ok:
         print(f"simulation failure: {wit.failure}", file=sys.stderr)
         return EXIT_SIM_FAILED
@@ -159,6 +169,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import contour_csv_rows, render_svg
+
     op, budget = load_instance(args.path)
     budget = _override_budget(budget, args)
     verdict, _ = decide(op, route="geometric", budget=budget)
@@ -167,11 +179,8 @@ def cmd_plot(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.contour_csv:
-        with open(args.contour_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "re", "im"])
-            for row in contour_csv_rows(op.map, verdict.profile.r2):
-                writer.writerow([repr(v) for v in row])
+        _write_csv(args.contour_csv, ["theta", "re", "im"],
+                   contour_csv_rows(op.map, verdict.profile.r2))
     return 0
 
 
@@ -236,9 +245,6 @@ def main(argv=None) -> int:
     except UnsupportedMapError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except DivergenceError as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SIM_FAILED
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -390,6 +390,7 @@ def solve_poly(op: OperatorSpec, y: TruncatedVector, tol: float = 1e-9) -> Trunc
 
 @dataclass(frozen=True)
 class WitnessStage:
+    """Stage m: x_m, the stage z it maps back to, its norm and decay bound, the residual."""
     index: int
     x: TruncatedVector
     z: TruncatedVector
@@ -592,6 +593,7 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
 
 @dataclass(frozen=True)
 class SpanFit:
+    """Least-squares eigenvector coefficients with residuals and condition number."""
     coefficients: np.ndarray
     residual_sup: float
     residual_l2: float
@@ -702,6 +704,7 @@ class GrowthDiagnostic:
 
 @dataclass(frozen=True)
 class JSetReport:
+    """Membership certificates or a growth diagnostic, with the overall status."""
     mode: str  # "membership" | "growth"
     memberships: tuple[MembershipCertificate, ...]
     growth: GrowthDiagnostic | None

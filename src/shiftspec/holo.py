@@ -303,7 +303,8 @@ class Series:
     Truncation error at |z| <= rho is tail_bound * (tail_ratio*rho)^(N+1)
     / (1 - tail_ratio*rho) with N the last stored index, which is finite on
     the whole validity disk because tail_ratio * validity_radius <= 1 is
-    required at construction.
+    required at construction.  That is the only constraint on tail_ratio
+    beyond positivity: it may exceed 1 when validity_radius < 1.
     """
 
     coeffs: tuple[complex, ...]
@@ -318,17 +319,15 @@ class Series:
         object.__setattr__(self, "validity_radius", float(self.validity_radius))
         if not self.coeffs:
             raise ValueError("series needs at least one stored coefficient")
-        if not (0.0 < self.tail_ratio < 1.0):
-            raise ValueError("tail ratio must lie in (0, 1)")
+        if not self.tail_ratio > 0.0:
+            raise ValueError("tail ratio must be positive")
         if self.tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
         if not (self.validity_radius > 0):
             raise ValueError("validity radius must be positive")
         if self.tail_ratio * self.validity_radius > 1.0 + 1e-12:
-            raise ValueError(
-                "validity radius too large for the tail ratio "
-                "(need tail_ratio * radius <= 1)"
-            )
+            raise ValueError("validity radius too large for the tail ratio "
+                             "(need tail_ratio * radius <= 1)")
 
     def monomial_form(self):
         return None

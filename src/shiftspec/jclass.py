@@ -199,6 +199,7 @@ def decide(op: OperatorSpec, route: str = "geometric", budget: Budget | None = N
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """Both routes' verdicts and whether ``cross_check`` finds them consistent."""
     geometric: Verdict
     moduli: Verdict
     consistent: bool
@@ -255,6 +256,7 @@ def _perturbed_weights(w: WeightSequence, rel_delta: float, rng) -> WeightSequen
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Base verdict and the trials whose jittered weights flipped it."""
     base: Verdict
     rel_delta: float
     trials: int

@@ -126,6 +126,7 @@ class ImageRegion:
 
 @dataclass(frozen=True)
 class SpectralPicture:
+    """The spectral regions of f(B_w) and the weight radii they come from."""
     full_spectrum: ImageRegion
     approx_point_adjoint: ImageRegion
     point_inner_disk: ImageRegion

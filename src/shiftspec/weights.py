@@ -59,6 +59,7 @@ def _check_positive(values, what: str) -> None:
 
 @dataclass(frozen=True)
 class ConstantTail:
+    """Tail w_n = value for every n past the prefix."""
     value: float
 
     def __post_init__(self):
@@ -71,6 +72,7 @@ class ConstantTail:
 
 @dataclass(frozen=True)
 class PeriodicTail:
+    """Tail that repeats ``values`` past the prefix, with period len(values)."""
     values: tuple[float, ...]
 
     def __post_init__(self):

@@ -607,3 +607,42 @@ def test_instance_round_trip(tmp_path):
         "weights": {"prefix": [], "tail": {"kind": "constant", "value": 2.0}},
         "map": {"kind": "poly", "coeffs": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
     }
+
+
+# -- start-up --------------------------------------------------------------------
+
+# runs the CLI as `python -m shiftspec.cli` does, then reports on stderr which
+# shiftspec modules and whether csv got loaded
+_RUN_AND_LIST_MODULES = """
+import runpy, sys
+sys.argv[0] = "shiftspec"
+try:
+    runpy.run_module("shiftspec.cli", run_name="__main__")
+finally:
+    print("LOADED", *sorted(m for m in sys.modules if m.startswith("shiftspec") or m == "csv"),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["analyze"], [], ["dynamics", "svgplot", "csv"]),
+    (["decide"], [], ["dynamics", "svgplot", "csv"]),
+    (["decide", "--route", "both"], [], ["dynamics", "svgplot", "csv"]),
+    (["plot", "--contour-csv", "contour.csv"], ["svgplot", "csv"], ["dynamics"]),
+    (["simulate"], ["dynamics"], ["svgplot"]),
+], ids=["analyze", "decide", "decide-both", "plot", "simulate"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, loads, skips):
+    # a top-level import of a layer in cli.py, or an eager package
+    # __init__, puts the compile cost of every layer back on every process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, argv[0], SHIFTED_SQUARE, *argv[1:]],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == EXIT_JCLASS, proc.stderr
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert loaded[0] == "LOADED"
+    names = {"csv" if m == "csv" else m.removeprefix("shiftspec.") for m in loaded[1:]}
+    assert {"shiftspec", "budget", "weights", "holo", "spectra", "jclass"} <= names
+    assert set(loads) <= names and not set(skips) & names

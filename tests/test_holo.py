@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conftest
 from conftest import random_poly
 from shiftspec.budget import Budget
 from shiftspec.holo import (
@@ -74,6 +75,33 @@ def test_series_truncation_error_bound():
         z = 0.9 * (1 / q) * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform())
         gap = abs(full.eval(complex(z)) - trunc.eval(complex(z)))
         assert gap <= trunc.eval_error(abs(z)) + 1e-15
+
+
+def test_series_tail_ratio_may_exceed_one():
+    # only tail_ratio * validity_radius <= 1 matters: a validity radius below
+    # 1 admits a ratio above 1, which these draws (radius < 1.1) produce
+    rng = np.random.default_rng(5)
+    series = [conftest.random_series(rng, rng.uniform(0.5, 3.0)) for _ in range(600)]
+    assert sum(s.tail_ratio >= 1.0 for s in series) == 12
+    with pytest.raises(ValueError, match="tail_ratio \\* radius <= 1"):
+        Series((1,), 1.0, 0.9, 2.0)
+    with pytest.raises(ValueError, match="tail ratio must be positive"):
+        Series((1,), 1.0, 0.0, 2.0)
+
+
+def test_series_truncation_error_bound_ratio_above_one():
+    # sum (q z)^n with q = 1.6 on |z| < 1/q, truncated at 6 against 400 terms
+    q, n = 1.6, 6
+    full = Series(tuple(q**k for k in range(400)), 1.0, q, 1 / q)
+    trunc = Series(tuple(q**k for k in range(n)), 1.0, q, 1 / q)
+    rng = np.random.default_rng(11)
+    for rho in (0.1, 0.4, 0.55, 0.6):
+        bound = trunc.eval_error(rho)
+        assert bound == pytest.approx((q * rho) ** n / (1 - q * rho))
+        for theta in [0.0, *rng.uniform(0, 2 * math.pi, 20)]:
+            z = rho * complex(math.cos(theta), math.sin(theta))
+            gap = abs(full.eval(z) - trunc.eval(z))
+            assert gap <= bound * (1 + 1e-12) + 1e-15
 
 
 # -- derivative bound ---------------------------------------------------

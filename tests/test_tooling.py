@@ -1,12 +1,19 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps program names given
 as strings; these checks fail as soon as a rename or deletion would break a
-traced benchmark run."""
+traced benchmark run.  The lazy package's contract is checked here too, since
+the tracer and the CLI start-up timing both rely on it."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import shiftspec
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -127,3 +134,59 @@ def test_traced_solve_poly_records_one_span_per_factor(coeffs, spans):
         assert names.count(f"dynamics.{name}") == count
         assert all(arrays["parent"][i] == top for i, nm in enumerate(names) if nm == f"dynamics.{name}")
     assert tracer.summarize()["dynamics.inner_steps"] == 255
+
+
+# -- the lazy package -----------------------------------------------------------
+
+# what `from shiftspec import *` gave when __init__ imported every layer
+_STAR_NAMES = {
+    "Annulus", "Budget", "CertifiedBound", "ConstantTail", "JCLASS", "MixingWitness",
+    "NOT_JCLASS", "OperatorSpec", "PeriodicTail", "Polynomial", "Series", "SpectralPicture",
+    "SpectralProfile", "TruncatedVector", "TwoValueDoublingBlocks", "VERDICT_UNDECIDED",
+    "Verdict", "WeightSequence", "apply_operator", "brute_force_modulus", "budget",
+    "covers_closed_unit_disk", "cross_check", "decide", "decide_geometric", "decide_moduli",
+    "decide_unweighted", "dynamics", "eigenvector", "holo", "i_of_adjoint", "identity_map",
+    "jclass", "jset_experiment", "kappa_forward_power", "kernel_nontrivial",
+    "min_modulus_on_annulus", "mixing_witness", "perturbation_stability", "preimage_power",
+    "solve_poly", "span_approximate", "spectra", "spectral_picture", "spectral_profile",
+    "weights", "winding_number", "window_product",
+}
+
+
+def test_import_shiftspec_loads_no_layer():
+    probe = """
+import json, sys
+import shiftspec
+before = sorted(m for m in sys.modules if m.startswith("shiftspec."))
+holo = shiftspec.holo
+print(json.dumps({"before": before, "holo": holo.__name__,
+                  "after": sorted(m for m in sys.modules if m.startswith("shiftspec."))}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    out = json.loads(proc.stdout)
+    assert out["before"] == []
+    assert out["holo"] == "shiftspec.holo"
+    assert "shiftspec.holo" in out["after"] and "shiftspec.dynamics" not in out["after"]
+
+
+def test_lazy_names_are_the_layer_objects():
+    assert set(shiftspec.__all__) == _STAR_NAMES and len(shiftspec.__all__) == len(_STAR_NAMES)
+    for module, names in shiftspec._EXPORTS.items():
+        layer = importlib.import_module(f"shiftspec.{module}")
+        assert getattr(shiftspec, module) is layer
+        for name in names:
+            assert getattr(shiftspec, name) is getattr(layer, name), name
+    namespace = {}
+    exec("from shiftspec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == _STAR_NAMES
+
+
+def test_lazy_package_dir_errors_and_version():
+    listed = dir(shiftspec)
+    assert "__all__" in listed and set(shiftspec.__all__) <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_layer"):
+        shiftspec.no_such_layer
+    assert shiftspec.__version__ == "0.1.0"
