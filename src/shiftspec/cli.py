@@ -23,10 +23,10 @@ import sys
 import numpy as np
 
 from .budget import Budget
-from .jclass import JCLASS, NOT_JCLASS, VERDICT_UNDECIDED, decide
 from .spectra import OperatorSpec, UnsupportedMapError, spectral_picture
 
-# dynamics, svgplot and csv load in the subcommands that use them: decide never compiles them
+# jclass, dynamics, svgplot and csv load in the subcommands that use them:
+# analyze never compiles jclass, and decide never compiles the other three
 
 __all__ = ["main", "load_instance"]
 
@@ -36,12 +36,6 @@ EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
 EXIT_UNSUPPORTED = 65
 EXIT_SIM_FAILED = 70
-
-_DECISION_EXIT = {
-    JCLASS: EXIT_JCLASS,
-    NOT_JCLASS: EXIT_NOT_JCLASS,
-    VERDICT_UNDECIDED: EXIT_UNDECIDED,
-}
 
 
 class ParseFailure(Exception):
@@ -113,6 +107,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    from .jclass import JCLASS, NOT_JCLASS, VERDICT_UNDECIDED, decide
+
     op, budget = load_instance(args.path)
     budget = _override_budget(budget, args)
     verdict, report = decide(op, route=args.route, budget=budget)
@@ -120,7 +116,8 @@ def cmd_decide(args) -> int:
     if report is not None:
         out["consistency"] = report.to_dict()
     _emit(out)
-    return _DECISION_EXIT[verdict.decision]
+    return {JCLASS: EXIT_JCLASS, NOT_JCLASS: EXIT_NOT_JCLASS,
+            VERDICT_UNDECIDED: EXIT_UNDECIDED}[verdict.decision]
 
 
 def cmd_simulate(args) -> int:
@@ -135,6 +132,7 @@ def cmd_simulate(args) -> int:
 
 def _simulate(args) -> int:
     from .dynamics import TruncatedVector, jset_experiment, mixing_witness, orbit_envelope
+    from .jclass import JCLASS, decide
 
     if args.jset_start and (args.out or args.orbit_csv):
         raise ParseFailure("--jset-start writes no --out or --orbit-csv file")
@@ -169,6 +167,7 @@ def _simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .jclass import decide
     from .svgplot import contour_csv_rows, render_svg
 
     op, budget = load_instance(args.path)

@@ -245,11 +245,6 @@ class Polynomial:
             return Polynomial((0j,))
         return Polynomial(tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:])))
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
-
     def roots(self, radii: bool = False):
         """All complex roots with multiplicity, Newton-polished; with
         ``radii``, the pair (roots, radii): a root of f lies within radii[i]

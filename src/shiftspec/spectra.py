@@ -175,11 +175,13 @@ KERNEL_INCONCLUSIVE = "INCONCLUSIVE"
 class KernelReport:
     """Three-valued answer to whether 0 is an eigenvalue of the image operator.
 
-    TRUE comes with a root of the map inside the open disk of radius r3 and
-    the recipe for the corresponding eigenvector.  FALSE is certified: every
-    root lies strictly outside the closed disk of radius r1, so 0 is not
-    even in the spectrum.  Roots caught in between leave the question open
-    (INCONCLUSIVE) because the eigenvalue disk only gives an inclusion.
+    The factors B_w - z of f(B_w) commute, so ker f(B_w) != {0} exactly
+    when some root z of f is an eigenvalue of B_w.  TRUE comes with a root
+    inside the open disk of radius r3, all of whose points are eigenvalues,
+    and the recipe for the corresponding eigenvector.  FALSE is certified:
+    every root lies strictly outside the closed disk of radius r1, so no
+    root is even in the spectrum of B_w.  INCONCLUSIVE only means that this
+    is unsettled for a root with r3 <= |z| <= r1 (up to the margin).
     """
 
     status: str

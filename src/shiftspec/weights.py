@@ -9,28 +9,27 @@ associated shift operators available in closed form:
   r2 = lim_n inf_k (w_k ... w_{k+n-1})^{1/n}   (inner radius)
   r3 = liminf_n (w_1 ... w_n)^{1/n}            (leading-window radius)
 
-Window products come from one doubling reduction, ``_windows``, over the
-levels that ``_doubling_levels`` builds:
-``window_products`` multiplies the weights (exact for power-of-two weights,
-overflowing only where a window's product leaves float range) and
-``log_window_products`` adds their logs, for kappa's windows of thousands
-of weights.  ``window_products`` builds the levels in place, so a window
-length that is a power of two allocates nothing past the weights array,
-and a window of one weight is the weights array itself.  The extreme log
-window sums, ``log_kappa_forward_power`` (inf) and ``log_window_sup``
-(sup), read the tail's structure instead of a whole buffer.
+Window products of a whole array, ``window_products``, multiply the
+weights by doubling, in place: a window length that is a power of two
+allocates nothing past the weights array, and a window of one weight is
+that array.  ``window_product``, ``log_kappa_forward_power`` (the inf
+over all starts) and ``log_window_sup`` (the sup over the starts of a
+buffer) read log windows one way, from the tail's structure instead of a
+buffer: ``_log_window`` sums a window's prefix weights one by one and
+takes its tail part in closed form from the tail's ``run(j, m)``, which
+sums whole periods or counts a's.
 ``values_array`` fills its array by slices, one per a-block of doubling
 blocks or one broadcast of the period and its doubling copies, so n weights
-take O(log n) numpy calls.  Values
-are immutable and every function is pure, apart from the scratch buffer a
-caller may lend ``window_products``; the one thing kept is each sequence's
-closed-form radii, computed on first request.
+take O(log n) numpy calls.  Values are immutable and every function is
+pure, apart from the scratch buffer a caller may lend ``window_products``;
+each sequence keeps its closed-form radii and its tail's ``run``, both
+built on first request.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "SpectralProfile",
     "window_product",
     "window_products",
-    "log_window_products",
     "spectral_profile",
     "kappa_forward_power",
     "log_kappa_forward_power",
@@ -204,21 +202,17 @@ class WeightSequence:
                 start *= 4
         return out
 
-    def upper_bound(self) -> float:
-        t = self.tail
-        if isinstance(t, ConstantTail):
-            tail_max = t.value
-        elif isinstance(t, PeriodicTail):
-            tail_max = max(t.values)
-        else:
-            tail_max = max(t.a, t.b)
-        return max((*self.prefix, tail_max))
-
     @cached_property
     def _profile(self) -> "SpectralProfile":
         """The closed-form radii, computed on first request; the instance
         is frozen, so they never go stale."""
         return _closed_form_profile(self.tail)
+
+    @cached_property
+    def _run(self) -> partial:
+        """The tail's ``run(j, m)`` (see ``_tail_run``), built on first
+        request and kept like the radii."""
+        return _tail_run(self.tail)
 
     # -- serialization -----------------------------------------------------
 
@@ -230,49 +224,54 @@ class WeightSequence:
         return cls(tuple(d.get("prefix", ())), _tail_from_dict(d["tail"]))
 
 
-def _doubling_levels(a: np.ndarray, op: np.ufunc, in_place: bool = False):
-    """a, then the op-reductions of its windows of length 2, 4, 8, ...,
-    each level built on demand from two shifted copies of the one before.
-    With ``in_place`` each level overwrites the front of the one before, so
-    every level is a view of a's buffer and no other array is allocated
-    (the output trails the input it reads, which numpy runs without a
-    copy); a caller holds on to a level only until the next one is built."""
+def _doubling_levels(a: np.ndarray):
+    """a, then the products of its windows of length 2, 4, 8, ..., each
+    level built on demand from two shifted copies of the one before and
+    written over the front of it, so every level is a view of a's buffer and
+    no other array is allocated (the output trails the input it reads, which
+    numpy runs without a copy); a caller holds on to a level only until the
+    next one is built."""
     length = 1
     while True:
         yield a
-        a = op(a[:-length], a[length:], out=a[:-length] if in_place else None)
+        a = np.multiply(a[:-length], a[length:], out=a[:-length])
         length *= 2
 
 
-def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None, out=None) -> np.ndarray:
-    """op-reductions of the windows a[k : k + n], k = 0..count-1, by doubling:
-    the set bits of n pick the levels of ``_doubling_levels(a, op)`` that
-    make up each window, and no level past the longest of them is built.
-    ``levels``, if given, is an iterable of those same levels, for a caller
-    that keeps them across window lengths or builds them in place.  Every
-    intermediate reduces a sub-window, so with np.multiply nothing
-    overflows unless a window of at most n values does.
+def window_products(w: WeightSequence, n: int, count: int, scratch=None) -> np.ndarray:
+    """w_k ... w_{k+n-1} for k = 1..count as direct float products, returned
+    in the array of the weights themselves; exact for power-of-two weights,
+    overflowing only where a window's product leaves float range.
 
-    A window length with one set bit is answered by its level itself; that
-    level is copied only when it is ``a`` and no ``levels`` were given, so
-    without ``levels`` the result never shares memory with ``a``.  Other
-    lengths start from a copy of the lowest selected level, made into
-    ``out`` (count values) if given, else into a fresh array."""
+    The set bits of n pick the doubling levels that make up each window,
+    and no level past the longest of them is built; every intermediate is
+    the product of a sub-window.  A window of one weight is the weights
+    array; any other power-of-two n is answered by its level, built in
+    place there; any other n builds the levels in ``scratch`` (a float
+    buffer of at least count + n - 1 values, else a fresh array) and
+    multiplies the ones it selects into the weights' array, starting from a
+    copy of the lowest one."""
     if n < 0:
         raise ValueError("window length must be >= 0")
     if n == 0:
-        return np.full(count, float(op.identity))
-    done, length = 0, 1
-    for level in _doubling_levels(a, op) if levels is None else levels:
+        return np.ones(count)
+    a = w.values_array(count + n - 1)
+    if n == 1:
+        return a
+    if n & (n - 1):
+        levels = np.empty_like(a) if scratch is None else scratch[: len(a)]
+        levels[:] = a
+    else:
+        levels = a
+    out, done, length = a[:count], 0, 1
+    for level in _doubling_levels(levels):
         if n & length:
             window = level[done : done + count]
             if n == length:  # the only set bit: done is 0
-                return window if levels is not None or level is not a else window.copy()
+                return window
             if done:
-                op(out, window, out=out)
-            elif out is None:  # the lowest set bit
-                out = window.copy()
-            else:
+                np.multiply(out, window, out=out)
+            else:  # the lowest set bit
                 out[:] = window
             done += length
         if 2 * length > n:
@@ -280,35 +279,64 @@ def _windows(a: np.ndarray, n: int, count: int, op: np.ufunc, levels=None, out=N
         length *= 2
 
 
-def window_products(w: WeightSequence, n: int, count: int, scratch=None) -> np.ndarray:
-    """w_k ... w_{k+n-1} for k = 1..count as direct float products, returned
-    in the array of the weights themselves.  A window of one weight is that
-    array; any other power-of-two n builds its doubling levels in place
-    there; any other n builds them in ``scratch`` (a float buffer of at
-    least count + n - 1 values, else a fresh array) and multiplies the ones
-    it selects into the weights' array."""
-    a = w.values_array(count + n - 1)
-    if n == 1:
-        return a
-    if n & (n - 1) == 0:
-        return _windows(a, n, count, np.multiply, _doubling_levels(a, np.multiply, in_place=True))
-    levels = np.empty_like(a) if scratch is None else scratch[: len(a)]
-    levels[:] = a
-    return _windows(levels, n, count, np.multiply, _doubling_levels(levels, np.multiply, in_place=True),
-                    a[:count])
+def _a_positions(x: int) -> int:
+    """How many of the tail positions 1..x lie in a-blocks of doubling
+    blocks: block m holds positions 2^m .. 2^(m+1) - 1, a for even m."""
+    if x < 1:
+        return 0
+    top = x.bit_length() - 1  # the block that holds x
+    below = (4 ** ((top + 1) // 2) - 1) // 3  # a-blocks 0, 2, ... before it
+    return below + (x - (1 << top) + 1 if top % 2 == 0 else 0)
 
 
-def log_window_products(w: WeightSequence, n: int, count: int) -> np.ndarray:
-    """log(w_k ... w_{k+n-1}) for k = 1..count; finite for any n."""
-    return _windows(np.log(w.values_array(count + n - 1)), n, count, np.add)
+def _constant_run(log_c: float, j: int, m: int) -> float:
+    return m * log_c
+
+
+def _periodic_run(cycle: list, period: int, total: float, j: int, m: int) -> float:
+    full, rest = divmod(m, period)
+    phase = (j - 1) % period
+    return full * total + sum(cycle[phase : phase + rest])
+
+
+def _blocks_run(log_a: float, log_b: float, j: int, m: int) -> float:
+    na = _a_positions(j + m - 1) - _a_positions(j - 1)
+    return na * log_a + (m - na) * log_b
+
+
+def _tail_run(t: Tail) -> partial:
+    """run(j, m): the log product of tail positions j .. j+m-1, summed from
+    whole periods or from the count of a's, so its rounding does not grow
+    with j or m; a partial of a module function, so a sequence that keeps
+    it still pickles."""
+    if isinstance(t, ConstantTail):
+        return partial(_constant_run, math.log(t.value))
+    if isinstance(t, PeriodicTail):
+        logs = [math.log(v) for v in t.values]
+        return partial(_periodic_run, logs + logs, len(logs), sum(logs))
+    return partial(_blocks_run, math.log(t.a), math.log(t.b))
+
+
+def _log_window(w: WeightSequence, k: int, n: int) -> float:
+    """log(w_k ... w_{k+n-1}): the window's prefix weights summed one by
+    one, its tail part in closed form."""
+    p = len(w.prefix)
+    if k > p:
+        return w._run(k - p, n)
+    inside = w.prefix[k - 1 : k - 1 + n]
+    return sum(math.log(v) for v in inside) + w._run(1, n - len(inside))
 
 
 def window_product(w: WeightSequence, k: int, n: int) -> float:
     """w_k ... w_{k+n-1} for k, n >= 1, taken in log space."""
     if k < 1 or n < 1:
         raise ValueError("window indices must be >= 1")
-    logs = np.log(w.values_array(k + n - 1)[k - 1 :])
-    return math.exp(float(_windows(logs, n, 1, np.add)[0]))
+    return math.exp(_log_window(w, k, n))
+
+
+def _period(t: Tail) -> int:
+    """The number of distinct window phases of a constant or periodic tail."""
+    return len(t.values) if isinstance(t, PeriodicTail) else 1
 
 
 def log_kappa_forward_power(w: WeightSequence, n: int) -> float:
@@ -322,21 +350,12 @@ def log_kappa_forward_power(w: WeightSequence, n: int) -> float:
     """
     if n < 1:
         raise ValueError("power must be >= 1")
-    p = len(w.prefix)
     t = w.tail
-    if isinstance(t, ConstantTail):
-        scan_to = p + 1
-        tail_inf = n * math.log(t.value)
-    elif isinstance(t, PeriodicTail):
-        scan_to = p + len(t.values)
-        tail_inf = math.inf  # phases covered by the scan
+    if isinstance(t, TwoValueDoublingBlocks):
+        best = n * math.log(min(t.a, t.b))
     else:
-        scan_to = p
-        tail_inf = n * math.log(min(t.a, t.b))
-    best = tail_inf
-    if scan_to >= 1:
-        best = min(best, float(log_window_products(w, n, scan_to).min()))
-    return best
+        best = min(w._run(j, n) for j in range(1, _period(t) + 1))
+    return min([best, *(_log_window(w, k, n) for k in range(1, len(w.prefix) + 1))])
 
 
 def kappa_forward_power(w: WeightSequence, n: int) -> float:
@@ -344,58 +363,32 @@ def kappa_forward_power(w: WeightSequence, n: int) -> float:
     return math.exp(log_kappa_forward_power(w, n))
 
 
-def _a_positions(x: int) -> int:
-    """How many of the tail positions 1..x lie in a-blocks of doubling
-    blocks: block m holds positions 2^m .. 2^(m+1) - 1, a for even m."""
-    if x < 1:
-        return 0
-    top = x.bit_length() - 1  # the block that holds x
-    below = (4 ** ((top + 1) // 2) - 1) // 3  # a-blocks 0, 2, ... before it
-    return below + (x - (1 << top) + 1 if top % 2 == 0 else 0)
-
-
 def log_window_sup(w: WeightSequence, n: int, count: int) -> float:
     """max log(w_k ... w_{k+n-1}) over k = 1..count in closed form, the sup
     counterpart of ``log_kappa_forward_power`` over a buffer of count + n - 1
-    weights; ``log_window_products(w, n, count).max()`` up to the order of
-    summation.
+    weights.
 
-    Windows that start in the prefix are summed one by one.  In the tail,
-    ``run(j, m)`` sums the logs of positions j .. j+m-1 from whole periods
-    or from the count of a's, so its rounding does not grow with j or m.
-    The tail windows are all equal (constant), one per phase (periodic), or
-    linear in the start between starts where a window edge meets a block
-    edge (doubling blocks): the first start of the most weights of the
-    larger value is 1, the last start, the start of such a block or that of
-    a window that ends one, O(log count) starts.
+    Windows that start in the prefix are summed one by one.  The tail
+    windows are all equal (constant), one per phase (periodic), or linear
+    in the start between starts where a window edge meets a block edge
+    (doubling blocks): the first start of the most weights of the larger
+    value is 1, the last start, the start of such a block or that of a
+    window that ends one, O(log count) starts.
     """
     if n < 1 or count < 1:
         raise ValueError("window length and count must be >= 1")
-    p, t = len(w.prefix), w.tail
+    p, t, run = len(w.prefix), w.tail, w._run
+    best = -math.inf
+    for k in range(1, min(p, count) + 1):
+        best = max(best, _log_window(w, k, n))
     last = count - p  # the last window start in the tail, as a tail position
-    if isinstance(t, ConstantTail):
-        log_c = math.log(t.value)
-        run = lambda j, m: m * log_c  # noqa: E731
-        starts = [1]
-    elif isinstance(t, PeriodicTail):
-        logs = [math.log(v) for v in t.values]
-        period, total = len(logs), sum(logs)
-        cycle = logs + logs
-
-        def run(j, m):
-            full, rest = divmod(m, period)
-            phase = (j - 1) % period
-            return full * total + sum(cycle[phase : phase + rest])
-
-        starts = range(1, min(period, last) + 1)
+    if last < 1:
+        return best
+    if not isinstance(t, TwoValueDoublingBlocks):
+        starts = range(1, min(_period(t), last) + 1)
     else:
-        log_a, log_b = math.log(t.a), math.log(t.b)
-
-        def run(j, m):
-            na = _a_positions(j + m - 1) - _a_positions(j - 1)
-            return na * log_a + (m - na) * log_b
-
-        hi_starts = [1 << m for m in range(int(log_a < log_b), (last + n).bit_length(), 2)]
+        first = int(math.log(t.a) < math.log(t.b))
+        hi_starts = [1 << m for m in range(first, (last + n).bit_length(), 2)]
         # a whole window fits in the last hi-block the buffer reaches or in
         # the one before it, if in any
         end = last + n - 1  # the buffer's last tail position
@@ -406,12 +399,8 @@ def log_window_sup(w: WeightSequence, n: int, count: int) -> float:
         else:
             starts = {1, last} | {e for e in hi_starts if e <= last}
             starts |= {2 * e - n for e in hi_starts if 1 <= 2 * e - n <= last}
-    best = -math.inf
-    for k in range(1, min(p, count) + 1):
-        inside = w.prefix[k - 1 : k - 1 + n]  # the window's weights in the prefix
-        best = max(best, sum(math.log(v) for v in inside) + run(1, n - len(inside)))
-    if last >= 1:
-        best = max(best, max(run(j, n) for j in starts))
+    for j in starts:
+        best = max(best, run(j, n))
     return best
 
 

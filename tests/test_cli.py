@@ -625,7 +625,7 @@ finally:
 
 
 @pytest.mark.parametrize("argv, loads, skips", [
-    (["analyze"], [], ["dynamics", "svgplot", "csv"]),
+    (["analyze"], [], ["jclass", "dynamics", "svgplot", "csv"]),
     (["decide"], [], ["dynamics", "svgplot", "csv"]),
     (["decide", "--route", "both"], [], ["dynamics", "svgplot", "csv"]),
     (["plot", "--contour-csv", "contour.csv"], ["svgplot", "csv"], ["dynamics"]),
@@ -644,5 +644,5 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, loads, skips):
     loaded = proc.stderr.splitlines()[-1].split()
     assert loaded[0] == "LOADED"
     names = {"csv" if m == "csv" else m.removeprefix("shiftspec.") for m in loaded[1:]}
-    assert {"shiftspec", "budget", "weights", "holo", "spectra", "jclass"} <= names
+    assert {"shiftspec", "budget", "weights", "holo", "spectra"} <= names
     assert set(loads) <= names and not set(skips) & names

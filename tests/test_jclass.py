@@ -511,7 +511,7 @@ def product_preserves_jclass(
     v2 = decide_geometric(op2, budget)
     if not (v1.decision == JCLASS and v2.decision == JCLASS):
         raise ValueError("both factors must be certified JCLASS")
-    prod_op = OperatorSpec(op1.weights, op1.map * op2.map)
+    prod_op = OperatorSpec(op1.weights, Polynomial(tuple(np.convolve(op1.map.coeffs, op2.map.coeffs))))
     vp = decide_geometric(prod_op, budget)
     lb1, lb2 = v1.condition_a.lower_bound, v2.condition_a.lower_bound
     lbp = vp.condition_a.lower_bound

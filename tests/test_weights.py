@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 
@@ -16,13 +17,11 @@ from shiftspec.weights import (
     WeightSequence,
     kappa_forward_power,
     log_kappa_forward_power,
-    log_window_products,
     log_window_sup,
     spectral_profile,
     window_product,
     window_products,
 )
-from shiftspec.weights import _windows
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def test_positivity_enforced():
 def test_boundedness_by_sampling(rng):
     for _ in range(20):
         w = random_weights(rng)
-        bound = w.upper_bound()
+        bound = math.exp(log_window_sup(w, 1, 5000))
         ks = rng.integers(1, 5000, size=50)
         assert all(w.value(int(k)) <= bound + 1e-12 for k in ks)
 
@@ -163,39 +162,53 @@ def test_window_products_against_naive_oracle(rng):
             got = window_products(w, n, 40)
             want = [naive_window_product(w, k, n) for k in range(1, 41)]
             assert got == pytest.approx(want, rel=1e-12)
-        # log space, far out and over windows whose direct products overflow
+        # log space, far out and over windows whose direct products overflow:
+        # the closed-form single window and the test's sliding-window sums
         for n in (1, 5, 7, 64, 135, 999, 2000):
-            got = log_window_products(w, n, 3000)
+            sums = naive_log_windows(w, n, 3000)
             for k in (1, 2, 7, 1024, 2999, 3000):
                 want = math.fsum(math.log(w.value(i)) for i in range(k, k + n))
-                assert got[k - 1] == pytest.approx(want, rel=1e-14, abs=1e-15 * n)
+                assert weights._log_window(w, k, n) == pytest.approx(want, rel=1e-14, abs=1e-15 * n)
+                assert sums[k - 1] == pytest.approx(want, rel=1e-14, abs=1e-15 * n)
 
 
-def windows_from_identity(a, n, count, op):
-    """The doubling reduction started from op's identity, one more op per
+def naive_log_windows(w, n, count):
+    """log(w_k ... w_{k+n-1}) for k = 1..count, each window's logs summed
+    over a sliding view of the buffer."""
+    logs = np.log(w.values_array(count + n - 1))
+    return np.lib.stride_tricks.sliding_window_view(logs, n).sum(axis=1)
+
+
+def windows_from_identity(a, n, count):
+    """The doubling reduction started from ones, one more multiply per
     window than the set bits of n need."""
-    out = np.full(count, float(op.identity))
+    out = np.ones(count)
     done, length = 0, 1
     while True:
         if n & length:
-            op(out, a[done : done + count], out=out)
+            np.multiply(out, a[done : done + count], out=out)
             done += length
         if 2 * length > n:
             return out
-        a = op(a[:-length], a[length:])
+        a = np.multiply(a[:-length], a[length:])
         length *= 2
 
 
 # 0, then lengths with 1, 2, 3 and 4 set bits, two of each
 @pytest.mark.parametrize("n", [0, 1, 64, 3, 40, 7, 70, 15, 1170])
 def test_windows_start_from_first_level(rng, n):
-    # starting from the lowest selected level gives the identity start's
-    # bits: 1.0 * x and 0.0 + x are x for positive weights and their logs
-    a = rng.uniform(0.3, 3.0, 300 + n)
-    for op, values in ((np.multiply, a), (np.add, np.log(a))):
-        got = _windows(values, n, 300, op)
-        assert np.array_equal(got, windows_from_identity(values, n, 300, op))
-        assert got is not values and not np.shares_memory(got, values)
+    # starting from the lowest selected level gives the bits of a start
+    # from ones: 1.0 * x is x for positive weights
+    w = WeightSequence.constant(1.0, prefix=rng.uniform(0.3, 3.0, 300 + n))
+    got = window_products(w, n, 300)
+    assert np.array_equal(got, windows_from_identity(w.values_array(300 + n), n, 300))
+
+
+def test_window_products_length_contract():
+    w = WeightSequence.periodic([3.0, 0.5], prefix=[2.0])
+    assert window_products(w, 0, 5).tolist() == [1.0] * 5
+    with pytest.raises(ValueError):
+        window_products(w, -1, 5)
 
 
 def test_window_product_keeps_no_cache():
@@ -207,6 +220,21 @@ def test_window_product_keeps_no_cache():
     finally:
         tracemalloc.stop()
     assert kept < 2**20
+
+
+def test_single_windows_and_kappa_build_no_buffer():
+    # a window far out and kappa of a long window read the tail in closed
+    # form: no array of the k + n weights or of their logs is built
+    w = WeightSequence.periodic([4.0, 1.0], prefix=[3.0])
+    four = WeightSequence.constant(4.0)
+    for fn in (lambda: window_product(w, 2**20, 3), lambda: log_kappa_forward_power(four, 2000)):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 def test_window_product_no_overflow_for_long_windows():
@@ -237,9 +265,44 @@ def test_log_window_sup_matches_the_buffer_max(prefix, tail, n, count):
     # sup is the max of the buffer's log window sums to a relative 1e-13 of
     # the largest sum of |log w| over a window, the scale of their rounding
     w = WeightSequence(tuple(prefix), tail)
-    ref = float(log_window_products(w, n, count).max())
+    ref = float(naive_log_windows(w, n, count).max())
     scale = n * float(np.abs(np.log(w.values_array(count + n - 1))).max())
     assert abs(log_window_sup(w, n, count) - ref) <= 1e-13 * scale
+
+
+def kappa_buffer_length(w, n):
+    """Enough weights for a window at every start that can reach the tail's
+    infimum: every phase of a constant or periodic tail, or a whole block
+    of the smaller doubling-block value of length >= n."""
+    p, t = len(w.prefix), w.tail
+    if isinstance(t, TwoValueDoublingBlocks):
+        m = int(t.a > t.b)  # block m holds the smaller value for m of this parity
+        while 2**m < n:
+            m += 2
+        return p + 2 ** (m + 1) - 1
+    period = len(t.values) if isinstance(t, PeriodicTail) else 1
+    return p + period + n - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.lists(_weight, max_size=8), tail=_tail, n=st.integers(1, 300))
+def test_log_kappa_is_the_min_of_naive_windows(prefix, tail, n):
+    # kappa's closed form is the least fsum of the logs of a window over a
+    # buffer that reaches every kind of tail window, to a relative 1e-13 of
+    # the largest sum of |log w| over a window
+    w = WeightSequence(tuple(prefix), tail)
+    logs = [math.log(v) for v in w.values_array(kappa_buffer_length(w, n))]
+    ref = min(math.fsum(logs[k : k + n]) for k in range(len(logs) - n + 1))
+    scale = n * max(abs(x) for x in logs)
+    assert abs(log_kappa_forward_power(w, n) - ref) <= 1e-13 * scale
+
+
+def test_sequences_keeping_their_run_pickle():
+    for w in (WeightSequence.constant(2.0, prefix=[0.5]), WeightSequence.periodic([3.0, 1.5]),
+              WeightSequence.doubling_blocks(3.0, 2.0)):
+        log_window_sup(w, 3, 10)  # builds the tail's run, which the sequence keeps
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and log_window_sup(back, 3, 10) == log_window_sup(w, 3, 10)
 
 
 def test_one_weight_windows_are_the_weights(monkeypatch):
