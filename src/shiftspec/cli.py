@@ -121,16 +121,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .dynamics import DivergenceError
-
-    try:
-        return _simulate(args)
-    except DivergenceError as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SIM_FAILED
-
-
-def _simulate(args) -> int:
     from .dynamics import TruncatedVector, jset_experiment, mixing_witness, orbit_envelope
     from .jclass import JCLASS, decide
 
@@ -183,6 +173,12 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # argparse reports a ValueError as an invalid value
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which is the UNDECIDED code here."""
 
@@ -220,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", cmd_simulate, "mixing-witness stages toward a target", grid + solve)
     p.add_argument("--target", default=None, help="target vector JSON file (default: all ones)")
-    p.add_argument("--stages", type=int, default=5)
+    p.add_argument("--stages", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0, help="noise seed for --jset-start")
     p.add_argument("--out", default=None, help="stage CSV output path")
     p.add_argument("--orbit-csv", default=None, help="also write the target's orbit envelope")

@@ -37,7 +37,6 @@ __all__ = [
     "WitnessStage",
     "SpanFit",
     "JSetReport",
-    "DivergenceError",
     "RootInAnnulusError",
     "apply_operator",
     "shift_power",
@@ -57,14 +56,8 @@ __all__ = [
 _CALIBRATION_STAGES = 4
 # prefix distance at which jset_experiment counts a target as reached
 _MEMBERSHIP_ERROR = 1e-6
-# |x_k| / ||y|| above which an inner-factor solve counts as diverging
-_DIVERGENCE_GUARD = 1e6
-# log of the largest float, past which _scaled_power's product is inf
+# log of the largest float, past which exp overflows
 _LOG_MAX = math.log(float(np.finfo(float).max))
-
-
-class DivergenceError(RuntimeError):
-    """Inner-factor recurrence left the plausible amplitude range."""
 
 
 class RootInAnnulusError(ValueError):
@@ -97,23 +90,18 @@ class TruncatedVector:
 
     def sup_norm(self) -> float:
         """Sup over the exact prefix (the only honestly known part)."""
-        if self.exact_prefix == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coords[: self.exact_prefix])))
+        return float(np.abs(self.coords[: self.exact_prefix]).max(initial=0.0))
 
     def sup_norm_full(self, scratch: np.ndarray | None = None) -> float:
-        """Sup over the whole buffer (NaN if a coordinate is NaN).  The
-        moduli go to the float buffer ``scratch`` if one is lent, as the
-        solvers lend their output's buffer before they fill it."""
+        """Sup over the whole buffer (NaN if a coordinate is NaN), its moduli
+        written to the float buffer ``scratch`` if one is lent."""
         if scratch is not None:
             scratch = scratch[: self.size]
         return float(np.abs(self.coords, out=scratch).max(initial=0.0))
 
     def prefix_distance(self, other: "TruncatedVector") -> float:
         n = min(self.exact_prefix, other.exact_prefix)
-        if n == 0:
-            return 0.0
-        return float(np.max(np.abs(self.coords[:n] - other.coords[:n])))
+        return float(np.abs(self.coords[:n] - other.coords[:n]).max(initial=0.0))
 
     # -- constructors --------------------------------------------------
 
@@ -260,27 +248,19 @@ def solve_factor_inner(w: WeightSequence, zeta: complex, y: TruncatedVector) -> 
     (sequential inside chunks of at most _SCAN_BLOCK steps, one carry per
     chunk, O(n) work) on the weights w_1 .. w_{n-1}.
 
-    Needs |zeta| below the inner radius r2: the homogeneous amplification
-    per step is zeta / w_k, whose long-run geometric mean is |zeta| / r2
-    < 1, so the solution stays bounded.  Transient growth is instance
-    dependent, hence the divergence guard instead of a per-instance proof:
-    DivergenceError names the first coordinate k with |x_k| not at most
-    _DIVERGENCE_GUARD x ||y|| (a NaN counts as exceeding it)."""
+    Needs |zeta| below the inner radius r2: x is the series
+    sum_{l>=1} zeta^{l-1} F^l y of the right inverse F, (Fy)_{k+1} = y_k / w_k,
+    with ||F^l|| = 1 / kappa(l) and kappa(l)^{1/l} -> r2, so ||x|| is at most
+    ||y|| sum_l |zeta|^{l-1} / kappa(l) < inf and no guard is needed; only a
+    transient past the float range spoils x, as non-finite coordinates."""
     r2 = spectral_profile(w).r2
     if abs(zeta) >= r2:
         raise ValueError(f"|zeta| = {abs(zeta)} must stay below the inner radius {r2}")
     ws = w.values_array(y.size - 1)
     x = np.empty(y.size, dtype=complex)
-    cap = _DIVERGENCE_GUARD * max(y.sup_norm_full(x.view(float)), 1e-300)
     x[:1] = 0.0
     np.divide(y.coords[:-1], ws, out=x[1:])
     _affine_scan(np.divide(zeta, ws), x)
-    # |x_2| .. |x_n| go to the spent weights; |x_1| = 0 fails only a NaN
-    # cap, which fails every comparison.  Negated, so a NaN |x_k| fails too
-    if not np.abs(x[1:], out=ws).max(initial=0.0) <= cap:
-        bad = np.flatnonzero(~(np.abs(x) <= cap))
-        raise DivergenceError(
-            f"inner-factor recurrence exceeded {_DIVERGENCE_GUARD} x ||y|| at k={bad[0] + 1}")
     return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
 
 
@@ -328,18 +308,6 @@ def solve_factor_outer(
     return TruncatedVector(x, max(0, y.exact_prefix - (cut - 1)))
 
 
-def _unchanged_by_unit_division(coords: np.ndarray) -> bool:
-    """Whether coords / 1 equals coords bit for bit, which holds when every
-    real and imaginary part is finite and nonzero.  The complex division
-    adds im * 0 to re and subtracts re * 0 from im, so it can turn -0.0
-    into 0.0 and a part beside an inf into NaN; a sum that overflows or a
-    strided buffer only costs the division."""
-    if not coords.flags.c_contiguous:
-        return False
-    parts = coords.view(float)
-    return bool(parts.all()) and math.isfinite(parts.sum())
-
-
 def _solver(op: OperatorSpec, tol: float):
     """Route the map's roots once, by the root disks of the polish; returns
     y -> x with f(shift) x = y."""
@@ -365,8 +333,7 @@ def _solver(op: OperatorSpec, tol: float):
     tol_eff = tol / max(1.0, amp)
 
     def solve(y: TruncatedVector) -> TruncatedVector:
-        x = y if lead == 1 and _unchanged_by_unit_division(y.coords) else TruncatedVector(
-            y.coords / lead, y.exact_prefix)
+        x = y if lead == 1 else TruncatedVector(y.coords / lead, y.exact_prefix)
         for z in outer:
             x = solve_factor_outer(op.weights, z, x, tol_eff)
         for z in inner:
@@ -383,7 +350,8 @@ def solve_poly(op: OperatorSpec, y: TruncatedVector, tol: float = 1e-9) -> Trunc
     Every root must fall strictly inside the inner disk or strictly outside
     the outer one; a root inside the annulus (legitimate for operators
     whose annulus image meets the unit disk) makes the factor unsolvable
-    and raises.  Outer inversions run first for numerical stability.
+    and raises.  Outer inversions run first for numerical stability.  A
+    transient past the float range comes back as non-finite coordinates.
     """
     return _solver(op, tol)(y)
 
@@ -413,20 +381,21 @@ class MixingWitness:
 
     The decay rate 1 + eps comes from the certified annulus bound for the
     map (the sharp asymptotic surjectivity rate), and each stage is checked
-    against ||x_m|| <= C (1+eps)^{-m n0} ||y||.  The instance constant C is
-    the largest ||x_m|| (1+eps)^{m n0} / ||y|| over the first
+    against ||x_m|| <= C (1+eps)^{-m n0} ||y||, taken in logs where the
+    power underflows (so 0 only below the float range).  The instance
+    constant C is the largest ||x_m|| (1+eps)^{m n0} / ||y|| over the first
     ``_CALIBRATION_STAGES`` stages (and at least 1), so those stages meet
     the bound by construction and only later stages test the decay.  A
-    stage whose norm or round-trip residual is not finite, or a zero stage
-    whose round trip misses the previous one (the solves underflowed), is
-    not recorded: the witness stops there with ``ok`` false.  The bound
-    C ||y|| (1+eps)^{-m n0} is taken in logs where the power underflows,
-    so it is 0 only below the float range.  Each stage also records
-    z_m := T^{n0} x_m, which equals the previous stage's vector by
-    construction; these satisfy T^{(m-1) n0} z_m = y, converge to
-    0, and push forward to y, which is the mixing phenomenon being
-    demonstrated.  (Both stage indexings for the pushforward identity are
-    recorded: the verified one is over (m-1) n0 steps.)
+    stage whose norm (the solves overflowed) or round-trip residual is not
+    finite, or a zero stage whose round trip misses the previous one (they
+    underflowed), is not recorded: the witness stops there with ``ok``
+    false.  A residual fails only past both 1e-6 max(1, ||y||) and
+    ``_round_trip_allowance``.  Each stage also records z_m := T^{n0} x_m,
+    the previous stage's vector by construction; these satisfy
+    T^{(m-1) n0} z_m = y, converge to 0, and push forward to y, which is
+    the mixing phenomenon being demonstrated.  (Both stage indexings for
+    the pushforward identity are recorded: the verified one is over
+    (m-1) n0 steps.)
     """
 
     n0: int
@@ -477,16 +446,19 @@ def _choose_n0(solve, y: TruncatedVector, eps: float):
     the norm at the certified rate, or 1 (the constant absorbs transients);
     returned with the probe chain [y, solve(y), solve(solve(y)), ...] of the
     solves made, which the witness chain continues instead of repeating.
-    A link of norm 0 meets no rate: y is not 0, so the solves underflowed
-    or pushed y out of the buffer, and where the rate's power underflows
-    the bar is 0 as well."""
+    Probing stops at a link whose norm is not finite (the solves overflowed).
+    A link of norm 0 meets no rate: y is not 0, so the solves underflowed or
+    pushed y out of the buffer, and where the rate's power underflows the
+    bar is 0 as well."""
     chain, base = [y], y.sup_norm()
     if base == 0.0:
         return 1, chain
     for cand in (1, 2, 4, 8):
         while len(chain) <= cand:
             chain.append(solve(chain[-1]))
-        if 0.0 < chain[cand].sup_norm() <= _scaled_power(base, 1.0 + eps, -cand) * (1.0 + 1e-9):
+            if not math.isfinite(norm := chain[-1].sup_norm()):
+                return 1, chain
+        if 0.0 < norm <= _scaled_power(base, 1.0 + eps, -cand) * (1.0 + 1e-9):
             return cand, chain
     return 1, chain
 
@@ -502,11 +474,13 @@ def mixing_witness(
 
     Stage m is link m n0 of one solve chain y, solve(y), ..., whose first
     links come from the block-size probe, so no solve runs twice.  Raises
-    ValueError when the operator is not certified JCLASS.  Decay violations
-    and prefix exhaustion are reported in the witness rather than raised,
-    so callers can inspect the partial construction.  Solves run at
-    ``budget.tol``.
+    ValueError when the operator is not certified JCLASS or m_max < 1.
+    Decay violations and prefix exhaustion are reported in the witness
+    rather than raised, so callers can inspect the partial construction.
+    Solves run at ``budget.tol``.
     """
+    if m_max < 1:
+        raise ValueError(f"a mixing witness needs at least one stage, got {m_max}")
     budget = budget or Budget()
     verdict = verdict or decide_geometric(op, budget)
     if verdict.decision != JCLASS:
@@ -516,12 +490,48 @@ def mixing_witness(
     return _witness(op, y, m_max, eps, solve, *_choose_n0(solve, y, eps))
 
 
+def _round_trip_allowance(op, solve, prev, x, n0) -> float:
+    """Rounding allowance for the round trip f(B)^{n0} x - prev of the stage
+    x = solve^{n0}(prev), derived in the README.  With v_k = solve(v_{k-1}),
+    v_0 = prev, u the unit roundoff, sigma_j the largest product of j
+    consecutive buffer weights and N = sum_j |a_j| sigma_j, it is
+    sum_k N^{k-1} ||D_k|| over the solves' backward errors
+    D_k = f(B) v_k - v_{k-1}, plus n0 (2 deg + 4) u N^{n0} ||x|| for the float
+    applications of f(B), where ||D_k|| <= 2 g |c| sum_i Q_i ||X_i|| +
+    sum_j |e_j| sigma_j ||v_k||: c = a_deg, e = f - c prod (z - z_i) is the
+    polished roots' defect, g = 16 (L + 1) u bounds a chunked scan's residual
+    (chunk length L) per modulus of its terms, Q_i = prod_{j<=i}
+    (sigma_1 + |z_j|), and X_i (X_0 = |v_{k-1}| / |c|) is factor i's
+    recurrence on |z_i| and X_{i-1}, which majorizes those terms; |x_i| is
+    far smaller where they cancel (a complex or negative root)."""
+    f, w, u = op.map, op.weights, sys.float_info.epsilon / 2
+    logs = [log_window_sup(w, j, x.size - j) for j in range(1, f.degree + 1)]
+    sigma = [1.0] + [math.exp(s) if s < _LOG_MAX else math.inf for s in logs]
+    roots, c = f.roots(), f.coeffs[-1]
+    norm_f, norm_e = (sum(abs(a) * s for a, s in zip(coeffs, sigma))
+                      for coeffs in (f.coeffs, np.subtract(f.coeffs, c * np.poly(roots)[::-1])))
+    r2, g = spectral_profile(w).r2, 16 * (_scan_chunk(x.size - 1) + 1) * u
+    total, amp, v = 0.0, 1.0, prev
+    for k in range(1, n0 + 1):
+        mag = TruncatedVector(np.abs(v.coords) / abs(c), v.exact_prefix)
+        q, terms = 1.0, mag.sup_norm_full()
+        for z in sorted(roots, key=lambda z: abs(z) < r2):  # outer roots first, as solved
+            mag = (solve_factor_inner(w, abs(z), mag) if abs(z) < r2 else
+                   solve_factor_outer(w, abs(z), TruncatedVector(-mag.coords, mag.exact_prefix), 0.0))
+            q *= sigma[1] + abs(z)
+            terms += q * mag.sup_norm_full()
+        v = solve(v) if k < n0 else x
+        total += amp * (2 * g * abs(c) * terms + norm_e * v.sup_norm_full())
+        amp *= norm_f
+    return total + n0 * (2 * f.degree + 4) * u * amp * x.sup_norm_full()
+
+
 def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
     rate = _scaled_power(1.0, 1.0 + eps, n0)
     y_norm = y.sup_norm()
 
     ok, failure = True, None
-    chain, x = [y], y
+    chain, norms, x = [y], [y_norm], y
     for m in range(1, m_max + 1):
         for k in range((m - 1) * n0 + 1, m * n0 + 1):
             x = probe[k] if k < len(probe) else solve(x)
@@ -529,44 +539,40 @@ def _witness(op, y, m_max, eps, solve, n0, probe) -> MixingWitness:
         if x.exact_prefix - n0 * op.map.degree < 1:
             ok, failure = False, f"exact prefix exhausted at stage {m}"
             break
+        if not math.isfinite(norm := x.sup_norm()):  # the solves overflowed
+            ok, failure = False, f"non-finite norm at stage {m}"
+            break
         chain.append(x)
+        norms.append(norm)
 
     # the calibration stages ride out the phase oscillation of the window
-    # infima; a non-finite stage fails below and must not set the constant
-    calibration = min(_CALIBRATION_STAGES, len(chain) - 1)
-    constant = 1.0
-    if y_norm > 0:
-        for m in range(1, calibration + 1):
-            fitted = _scaled_power(chain[m].sup_norm(), rate, m) / y_norm
-            if math.isfinite(fitted):
-                constant = max(constant, fitted)
+    # infima; a fitted value past the float range must not set the constant
+    fitted = [_scaled_power(norm, rate, m) / y_norm if y_norm > 0 else 1.0
+              for m, norm in enumerate(norms[1 : _CALIBRATION_STAGES + 1], 1)]
+    constant = max([1.0] + [c for c in fitted if math.isfinite(c)])
 
     stages, log_rate = [], n0 * math.log(1.0 + eps)
     for m in range(1, len(chain)):
-        xm, prev = chain[m], chain[m - 1]
-        norm = xm.sup_norm()
+        xm, prev, norm = chain[m], chain[m - 1], norms[m]
         bound = _decayed(constant * y_norm, rate, log_rate, m)
-        back = apply_operator(op, xm, n0)
-        residual = back.prefix_distance(prev)
-        if not (math.isfinite(norm) and math.isfinite(residual)):
-            what = "round trip residual" if math.isfinite(norm) else "norm"
-            ok, failure = False, f"non-finite {what} at stage {m}"
+        residual = apply_operator(op, xm, n0).prefix_distance(prev)
+        if not math.isfinite(residual):
+            ok, failure = False, f"non-finite round trip residual at stage {m}"
             break
-        # the round trip of a zero stage is 0, so a previous stage it misses
-        # was solved to 0 by underflow (a stage is 0 on its exact prefix
-        # without underflow only where the truncation shifted all of the
-        # previous stage out of the round trip's prefix)
+        # the round trip of a zero stage is 0, so one that misses the
+        # previous stage was solved to 0 by underflow
         if norm == 0.0 < residual:
             ok, failure = False, f"solve chain underflowed to the zero vector at stage {m}"
             break
         stages.append(WitnessStage(m, xm, prev, norm, bound, residual))
-        # negated comparisons, so that a NaN on either side fails the check
+        # negated comparison, so that a NaN bound fails the check
         if not norm <= bound * (1.0 + 1e-9):
             ok, failure = False, f"norm decay violated at stage {m}"
             break
-        # sanity bar for genuinely broken solves; per-stage residuals are
-        # recorded as data either way
-        if not residual <= 1e-6 * max(1.0, y_norm):
+        # a residual fails only past the absolute bar and the allowance
+        # (computed only past the bar); it is recorded as data either way
+        if not (residual <= 1e-6 * max(1.0, y_norm)
+                or residual <= _round_trip_allowance(op, solve, prev, xm, n0) < math.inf):
             ok, failure = False, f"round trip residual {residual} at stage {m}"
             break
     return MixingWitness(n0, eps, constant, y_norm, tuple(stages), ok, failure)
@@ -720,10 +726,7 @@ class JSetReport:
 
 
 def _is_null_like(x: TruncatedVector) -> bool:
-    if x.exact_prefix < 8:
-        return True
-    head = float(np.max(np.abs(x.coords[: x.exact_prefix])))
-    if head == 0.0:
+    if x.exact_prefix < 8 or (head := x.sup_norm()) == 0.0:
         return True
     tail_start = (3 * x.exact_prefix) // 4
     tail = float(np.max(np.abs(x.coords[tail_start : x.exact_prefix])))

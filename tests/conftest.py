@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -36,6 +37,20 @@ def random_series(rng, radius, max_degree=4, span=2.0):
 
 def random_instance(rng, **kw):
     return OperatorSpec(random_weights(rng), random_poly(rng, **kw))
+
+
+def inner_transient_instance(rng):
+    """a (z - zeta) on 1 to 6 prefix weights 10^U(-3, -1) and a constant
+    tail t = U(1.5, 3), with zeta = U(0.5, 0.995) t e^{i theta} and
+    a = 2 / (t - |zeta|): min |f| = 2 on the circle |z| = t, so it is JCLASS,
+    and its solves run a transient of up to about (|zeta| / min w)^6 through
+    the prefix."""
+    k = int(rng.integers(1, 7))
+    prefix = tuple(10.0 ** rng.uniform(-3, -1, k))
+    tail = rng.uniform(1.5, 3)
+    zeta = rng.uniform(0.5, 0.995) * tail * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    a = 2 / (tail - abs(zeta))
+    return OperatorSpec(WeightSequence.constant(tail, prefix), Polynomial((-a * zeta, a)))
 
 
 # maps whose min |f| over |z| >= r is reached on |z| = r, in closed form:

@@ -329,6 +329,8 @@ def test_budget_overrides(tmp_path, monkeypatch):
         ["decide", "--budget-grid", "many"],
         *(["analyze", flag, "1"] for flag in ("--budget-grid", "--budget-winding", "--trunc-n", "--tol")),
         *([cmd, flag, "8"] for cmd in ("decide", "plot") for flag in ("--trunc-n", "--tol")),
+        # an empty witness would read as a success
+        *(["simulate", "--stages", count] for count in ("0", "-2")),
     ],
 )
 def test_usage_errors_exit_64(tmp_path, capsys, argv):
@@ -417,13 +419,23 @@ def near_outer(tmp_path):
     return const_instance(tmp_path / "i.json", 2.0, [[0, 0], [-202, 0], [100, 0]], {"truncationN": 4096})
 
 
-# the inner root 1.99 sits behind five weights of 0.01
-def inner_divergence(tmp_path):
+def inner_root_behind(tmp_path, prefix):
+    # the inner root 1.99 of 200 z - 398 behind small prefix weights
     return write_instance(
         tmp_path / "i.json",
-        {"prefix": [0.01] * 5, "tail": {"kind": "constant", "value": 2.0}},
+        {"prefix": prefix, "tail": {"kind": "constant", "value": 2.0}},
         {"kind": "poly", "coeffs": [[-398, 0], [200, 0]]},
     )
+
+
+# the solve's transient (1.99 / 0.01)^k reaches ||x_1|| = 7.9e8 ||y||
+def inner_transient(tmp_path):
+    return inner_root_behind(tmp_path, [0.01] * 5)
+
+
+# x_3 = (1.99 x_2 + y_2) / 1e-200 with x_2 = 5e197 passes the float range
+def inner_divergence(tmp_path):
+    return inner_root_behind(tmp_path, [1e-200] * 2)
 
 
 def test_simulate_near_outer_root_one_stage(tmp_path, capsys):
@@ -451,14 +463,34 @@ def test_simulate_near_outer_root_exhausts_prefix(tmp_path, capsys):
     assert len(wit["stages"]) == 1
 
 
+@pytest.mark.parametrize("stages, count", [(["--stages", "3"], 3), ([], 5)])
+def test_simulate_inner_transient_passes(tmp_path, capsys, stages, count):
+    # its round trips miss 1e-6 ||y|| (stage 1 by 1.2e-4) but stay within
+    # the rounding that solves of that size allow
+    assert main(["simulate", inner_transient(tmp_path), *stages]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["ok"] is True and len(wit["stages"]) == count
+    assert wit["stages"][0]["norm"] == pytest.approx(7.9e8, rel=0.01)
+    assert wit["stages"][0]["roundTripResidual"] > 1e-6
+
+
 def test_simulate_inner_divergence_exits_70(tmp_path, capsys):
-    # the recurrence passes the divergence guard at k = 4
-    assert main(["simulate", inner_divergence(tmp_path), "--stages", "3"]) == EXIT_SIM_FAILED
-    err = capsys.readouterr().err
-    assert err.startswith("simulation failure: inner-factor recurrence") and "k=4" in err
+    # the first solve overflows: the witness stops at stage 1, solves no
+    # further and prints its JSON, and stderr holds one line (no warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", inner_divergence(tmp_path), "--stages", "3"]) == EXIT_SIM_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == "simulation failure: non-finite norm at stage 1\n"
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["ok"] is False and wit["failure"] == "non-finite norm at stage 1"
+    assert wit["stages"] == []
 
 
-@pytest.mark.parametrize("instance", [near_outer, inner_divergence], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("instance", [near_outer, inner_divergence, inner_transient],
+                         ids=lambda f: f.__name__)
 def test_simulate_process_exit_code_is_documented(tmp_path, instance):
     path = instance(tmp_path)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -468,7 +500,7 @@ def test_simulate_process_exit_code_is_documented(tmp_path, instance):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode in (0, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_SIM_FAILED)
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_simulate_refuses_not_jclass(tmp_path, capsys):

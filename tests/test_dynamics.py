@@ -2,8 +2,8 @@ import bisect
 import cmath
 import inspect
 import math
-import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 import shiftspec.dynamics as dynamics
 import shiftspec.holo
 import shiftspec.weights as weights
-from conftest import random_weights
+from conftest import inner_transient_instance, random_weights
 from shiftspec.budget import Budget
 from shiftspec.dynamics import (
     HEURISTIC_NONMEMBER,
     MEMBER,
-    DivergenceError,
     RootInAnnulusError,
     TruncatedVector,
     apply_operator,
@@ -196,20 +195,12 @@ def test_inner_factor_domain_guard():
 # the inner scan against the coordinate recurrence written out
 
 
-def naive_inner(w, zeta, y, guard=1e6):
-    """x_1 = 0, x_{k+1} = (y_k + zeta x_k) / w_k, one coordinate at a time,
-    stopping at the first k with |x_k| not at most guard x ||y||."""
-    cap = guard * max(float(np.max(np.abs(y))) if len(y) else 0.0, 1e-300)
+def naive_inner(w, zeta, y):
+    """x_1 = 0, x_{k+1} = (y_k + zeta x_k) / w_k, one coordinate at a time."""
     out = [0j][: len(y)]
     for k in range(1, len(y)):
         out.append((complex(y[k - 1]) + zeta * out[-1]) / w.value(k))
-        if not abs(out[-1]) <= cap:
-            raise DivergenceError(f"at k={k + 1}")
     return np.array(out, dtype=complex)
-
-
-def divergence_k(exc) -> int:
-    return int(re.search(r"k=(\d+)", str(exc)).group(1))
 
 
 BLOCK = dynamics._SCAN_BLOCK
@@ -232,7 +223,7 @@ L_CHANGES = [n for n in range(2, 2**16 + 1) if chunk(n) != chunk(n - 1)]
 SCAN_SIZES = (1, 2, L_CHANGES[0] - 1, L_CHANGES[0], L_CHANGES[2],
               *whole_chunks(BLOCK), *whole_chunks(BLOCK + 2), 3000)
 # prefix weights log-uniform in [1e-3, 1e3], so that runs of small weights
-# (and with them divergence) are common
+# (and with them large transients) are common
 scan_weights = st.builds(
     lambda prefix, tail: WeightSequence.periodic(tail, tuple(10.0**t for t in prefix)),
     st.lists(st.floats(-3.0, 3.0), max_size=12),
@@ -252,34 +243,10 @@ def test_inner_scan_matches_recurrence(n, w, frac, theta, seed):
     zeta = frac * spectral_profile(w).r2 * cmath.exp(1j * theta)
     rng = np.random.default_rng(seed)
     y = TruncatedVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
-    try:
-        ref = naive_inner(w, zeta, y.coords)
-    except DivergenceError as exc:
-        with pytest.raises(DivergenceError) as got:
-            solve_factor_inner(w, zeta, y)
-        assert divergence_k(got.value) == divergence_k(exc)
-        return
+    ref = naive_inner(w, zeta, y.coords)
     x = solve_factor_inner(w, zeta, y)
     assert x.size == n and x.exact_prefix == n
     assert np.max(np.abs(x.coords - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_inner_factor_divergence_names_first_coordinate():
-    # x_2 = 1 / 1e-3 = 1e3, x_3 = (1 + 1.5e3) / 1e-3 > 1e6 = guard x ||y||
-    w = WeightSequence.constant(2.0, (1e-3,) * 5)
-    y = TruncatedVector.ones(16)
-    with pytest.raises(DivergenceError) as ref:
-        naive_inner(w, 1.5, y.coords)
-    with pytest.raises(DivergenceError, match=r"at k=3$") as got:
-        solve_factor_inner(w, 1.5, y)
-    assert divergence_k(got.value) == divergence_k(ref.value) == 3
-
-
-def test_inner_factor_nan_fails_the_guard():
-    y = TruncatedVector.ones(2 * BLOCK)
-    y.coords[BLOCK] = math.nan
-    with pytest.raises(DivergenceError):
-        solve_factor_inner(WeightSequence.constant(2.0), 1.0, y)
 
 
 def test_inner_scan_zero_first_block_tiny_prefix():
@@ -775,6 +742,73 @@ def test_choose_n0_skips_a_chain_that_underflowed():
     assert n0 == 1 and len(chain) == 9
 
 
+def test_choose_n0_stops_at_a_non_finite_link():
+    # the probe solves no further once a link overflowed
+    y = TruncatedVector.ones(4)
+    links = iter([TruncatedVector.ones(4), TruncatedVector.from_list([1, math.inf, 0, 0])])
+    n0, chain = dynamics._choose_n0(lambda x: next(links), y, 1e-3)
+    assert n0 == 1 and len(chain) == 3
+
+
+def test_witness_stops_at_the_first_non_finite_stage(monkeypatch):
+    # x_3 = (1.99 x_2 + y_2) / 1e-200 with x_2 = 5e197 overflows in the
+    # first solve: the witness records nothing, solves no further and
+    # computes no round trip, so numpy warns of nothing
+    calls = count_solves(monkeypatch)
+    op = OperatorSpec(WeightSequence.constant(2.0, (1e-200,) * 2), P(-398, 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wit = mixing_witness(op, TruncatedVector.ones(256), 5)
+    assert not wit.ok and wit.failure == "non-finite norm at stage 1"
+    assert wit.stages == () and wit.n0 == 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("m_max", [0, -2])
+def test_mixing_witness_needs_a_stage(m_max):
+    with pytest.raises(ValueError, match="at least one stage"):
+        mixing_witness(const_op(2.0), TruncatedVector.ones(16), m_max)
+
+
+def test_inner_transients_pass_the_witness():
+    # certified JCLASS maps whose solves run through small prefix weights:
+    # the round trips of most draws miss 1e-6 ||y||, by the rounding of
+    # solves of that size, and must pass on the rounding allowance
+    rng = np.random.default_rng(24)
+    past_bar = 0
+    for draw in range(300):
+        wit = mixing_witness(inner_transient_instance(rng), TruncatedVector.ones(256), 5)
+        assert wit.ok, (draw, wit.failure)
+        past_bar += any(s.round_trip_residual > 1e-6 for s in wit.stages)
+    assert past_bar >= 100
+
+
+def test_round_trip_allowance_only_past_the_bar(monkeypatch):
+    # a residual within 1e-6 max(1, ||y||) never computes the allowance, and
+    # one past it fails where the allowance is smaller
+    allowances = []
+    allowance = dynamics._round_trip_allowance
+    monkeypatch.setattr(dynamics, "_round_trip_allowance", lambda op, solve, prev, x, n0:
+                        allowances.append(x.size) or allowance(op, solve, prev, x, n0))
+    y = TruncatedVector(np.random.default_rng(4).standard_normal(256) + 0j, 256)
+    for f in (identity_map(), P(0, 0.1, 1), P(4.5, -9.5, 1)):
+        assert mixing_witness(OperatorSpec(WeightSequence.periodic([3.0, 1.5, 2.0]), f), y, 5).ok
+    assert allowances == []
+    op = OperatorSpec(WeightSequence.constant(2.0, (0.01,) * 5), P(-398, 200))
+    assert mixing_witness(op, TruncatedVector.ones(256), 3).ok
+    assert allowances == [256] * 3
+    monkeypatch.setattr(dynamics, "_round_trip_allowance", lambda *a: 0.0)
+    wit = mixing_witness(op, TruncatedVector.ones(256), 3)
+    assert wit.failure == "round trip residual 0.0001220703125 at stage 1"
+
+
+@pytest.mark.xfail(strict=True, reason="the witness fits its constant over 4 stages, which a "
+                   "6-weight prefix outlasts: C = 16, the true constant is 64 (ROADMAP Fix first 2)")
+def test_mixing_witness_long_prefix():
+    op = OperatorSpec(WeightSequence.constant(2.0, (1.0,) * 6), identity_map())
+    wit = mixing_witness(op, TruncatedVector.ones(256), 10)
+    assert wit.ok, wit.failure
+
+
 LONG_N = 65536
 HEAVY_WEIGHTS = [
     WeightSequence.constant(1e3),
@@ -857,15 +891,10 @@ def allocating_preimage(w, z, n0):
 
 def allocating_inner(w, zeta, y):
     ws = w.values_array(y.size - 1)
-    cap = dynamics._DIVERGENCE_GUARD * max(y.sup_norm_full(), 1e-300)
     x = np.empty(y.size, dtype=complex)
     x[:1] = 0.0
     np.divide(y.coords[:-1], ws, out=x[1:])
     dynamics._affine_scan(zeta / ws, x)
-    bad = np.flatnonzero(~(np.abs(x) <= cap))
-    if len(bad):
-        raise DivergenceError(
-            f"inner-factor recurrence exceeded {dynamics._DIVERGENCE_GUARD} x ||y|| at k={bad[0] + 1}")
     return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
 
 
@@ -895,11 +924,8 @@ def signed_zero_target(n, seed, nan):
 
 
 def outcome(fn):
-    """Bits of a vector result with its prefix, or the error raised."""
-    try:
-        x = fn()
-    except DivergenceError as exc:
-        return "DivergenceError", str(exc)
+    """Bits of a vector result with its prefix."""
+    x = fn()
     return x.coords.tobytes(), x.exact_prefix
 
 
@@ -911,37 +937,19 @@ LEAN_MAPS = [  # identity, inner roots only, one inner and one outer root; monic
 @pytest.mark.parametrize("n", [1, 2, 257, 65536])
 @pytest.mark.parametrize("nan", [False, True])
 def test_lean_kernels_match_allocating_formulations(monkeypatch, n, nan):
-    # every value, signed zero, NaN and error message of the kernels that
-    # write into their output buffer equals that of the formulations that
-    # allocate a temporary per step and always divide by the leading
-    # coefficient; y / 1 can turn -0.0 into 0.0, so a monic map still
-    # divides a target with a zero part
+    # every value, signed zero and NaN of the kernels that write into their
+    # output buffer equals that of the formulations that allocate a
+    # temporary per step and divide by the leading coefficient unless it
+    # is 1 (a monic map takes y itself, signed zeros and NaN included)
     y = signed_zero_target(n, n, nan)
     lean = [outcome(lambda: preimage_power(LEAN_WEIGHTS, y, n0)) for n0 in range(1, 9)]
     lean += [outcome(lambda: solve_poly(OperatorSpec(LEAN_WEIGHTS, f), y)) for f in LEAN_MAPS]
     monkeypatch.setattr(dynamics, "preimage_power", allocating_preimage)
     monkeypatch.setattr(dynamics, "solve_factor_inner", allocating_inner)
     monkeypatch.setattr(dynamics, "solve_factor_outer", allocating_outer)
-    monkeypatch.setattr(dynamics, "_unchanged_by_unit_division", lambda coords: False)
     want = [outcome(lambda: allocating_preimage(LEAN_WEIGHTS, y, n0)) for n0 in range(1, 9)]
     want += [outcome(lambda: solve_poly(OperatorSpec(LEAN_WEIGHTS, f), y)) for f in LEAN_MAPS]
     assert lean == want
-
-
-def test_unit_division_skipped_only_where_bits_survive():
-    # finite, nonzero parts come through y / 1 unchanged; a zero part or a
-    # non-finite one may not, and the solver then divides
-    rng = np.random.default_rng(11)
-    coords = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert dynamics._unchanged_by_unit_division(coords)
-    assert np.array_equal((coords / 1).view(np.uint64), coords.view(np.uint64))
-    for bad in (0.0, -0.0, math.inf, math.nan):
-        c = coords.copy()
-        c.view(float)[17] = bad
-        assert not dynamics._unchanged_by_unit_division(c)
-    assert not dynamics._unchanged_by_unit_division(coords[::-1])
-    assert not dynamics._unchanged_by_unit_division(np.array([complex(-0.0, -0.0)]))
-    assert (np.array([complex(-0.0, -0.0)]) / 1).view(np.uint64).tolist() != [2**63, 2**63]
 
 
 # -- allocations at n = 65536 ---------------------------------------------

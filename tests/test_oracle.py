@@ -23,6 +23,10 @@ circle.  Winding numbers are checked against the roots inside the circle,
 located by mpmath.polyroots at 50 digits, and Polynomial.roots against the
 same roots, each within twice the radius its residual proves; every root
 disk that the polish returns holds one of them.
+
+The mixing witness's rounding allowance is checked against round trips
+recomputed at 60 digits from the float stage vectors: both the exact
+residual of a stage and the float round trip's own rounding stay below it.
 """
 import itertools
 import math
@@ -32,9 +36,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_instance, random_poly, random_series, random_weights,
+from conftest import (inner_transient_instance, random_instance, random_poly, random_series, random_weights,
                       threshold_instance)
+import shiftspec.dynamics as dynamics
 from shiftspec.budget import Budget
+from shiftspec.dynamics import TruncatedVector, apply_operator, mixing_witness
 from shiftspec.holo import (CERTIFIED, Annulus, Polynomial, RootRefinementError, min_modulus_on_annulus,
                             winding_number)
 from shiftspec.spectra import OperatorSpec, i_of_adjoint
@@ -360,3 +366,43 @@ def test_root_disks_hold_a_root():
             assert min(abs(mpmath.mpc(z.real, z.imag) - e) for e in exact) <= rho
         checked += 1
     assert checked >= 100
+
+
+# -- round-trip rounding allowance ----------------------------------------------
+
+
+def _exact_round_trip(op, x, n0) -> list:
+    """f(B)^{n0} x on the buffer in 60-digit arithmetic, from the float
+    coordinates of x (B^j shifts in zeros at the end, as apply_operator
+    does)."""
+    w = [mpmath.mpf(op.weights.value(k)) for k in range(1, x.size)]
+    v = [mpmath.mpc(c) for c in x.coords]
+    for _ in range(n0):
+        out, shifted = [op.map.coeffs[0] * c for c in v], v
+        for a in op.map.coeffs[1:]:
+            shifted = [wk * c for wk, c in zip(w, shifted[1:])] + [mpmath.mpc(0)]
+            out = [o + a * c for o, c in zip(out, shifted)]
+        v = out
+    return v
+
+
+# family draws 2, 3, 5 and 6 reach ||x_1|| = 2e11 to 8e13 with round trips
+# of 1e-4 to 0.14, past the absolute bar; draw 88 has n0 = 2
+@pytest.mark.parametrize("draw", [2, 3, 5, 6, 88])
+def test_round_trip_allowance_bounds_exact_rounding(draw):
+    rng = np.random.default_rng(24)
+    for _ in range(draw + 1):
+        op = inner_transient_instance(rng)
+    wit = mixing_witness(op, TruncatedVector.ones(256), 5)
+    assert wit.ok and len(wit.stages) == 5
+    solve = dynamics._solver(op, Budget().tol)
+    with mpmath.workdps(60):
+        for s in wit.stages:
+            allowance = dynamics._round_trip_allowance(op, solve, s.z, s.x, wit.n0)
+            back = apply_operator(op, s.x, wit.n0)
+            n = min(back.exact_prefix, s.z.exact_prefix)
+            exact = _exact_round_trip(op, s.x, wit.n0)[:n]
+            residual = max(abs(e - mpmath.mpc(c)) for e, c in zip(exact, s.z.coords[:n]))
+            rounding = max(abs(e - mpmath.mpc(c)) for e, c in zip(exact, back.coords[:n]))
+            assert residual <= allowance and rounding <= allowance, (s.index, residual, rounding, allowance)
+            assert s.round_trip_residual <= allowance
