@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, Report
 from .holo import Polynomial
 from .jclass import JCLASS, Verdict, decide_geometric
 from .spectra import OperatorSpec, UnsupportedMapError
@@ -65,7 +65,7 @@ class RootInAnnulusError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class TruncatedVector:
+class TruncatedVector(Report):
     """Finite buffer with an exact-prefix marker (coordinates are 1-based).
 
     ``coords[k]`` for k < exact_prefix equals the intended infinite
@@ -125,12 +125,6 @@ class TruncatedVector:
     def from_list(cls, values, exact_prefix: int | None = None) -> "TruncatedVector":
         arr = np.asarray(list(values), dtype=complex)
         return cls(arr, len(arr) if exact_prefix is None else exact_prefix)
-
-    def to_dict(self) -> dict:
-        return {
-            "coords": [[c.real, c.imag] for c in self.coords],
-            "exactPrefix": self.exact_prefix,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TruncatedVector":
@@ -194,7 +188,8 @@ def preimage_power(w: WeightSequence, z: TruncatedVector, n0: int) -> TruncatedV
     out = np.empty(size, dtype=complex)
     prods = window_products(w, n0, size - n0, out.view(float))  # out is scratch until here
     out[:n0] = 0.0
-    np.divide(z.coords[: size - n0], prods, out=out[n0:])
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite coordinate
+        np.divide(z.coords[: size - n0], prods, out=out[n0:])
     return TruncatedVector(out, min(size, z.exact_prefix + n0))
 
 
@@ -259,8 +254,10 @@ def solve_factor_inner(w: WeightSequence, zeta: complex, y: TruncatedVector) -> 
     ws = w.values_array(y.size - 1)
     x = np.empty(y.size, dtype=complex)
     x[:1] = 0.0
-    np.divide(y.coords[:-1], ws, out=x[1:])
-    _affine_scan(np.divide(zeta, ws), x)
+    with np.errstate(over="ignore"):  # as in the scan, an overflow is a non-finite x
+        np.divide(y.coords[:-1], ws, out=x[1:])
+        a = np.divide(zeta, ws)
+    _affine_scan(a, x)
     return TruncatedVector(x, min(y.size, y.exact_prefix + 1))
 
 
@@ -376,7 +373,7 @@ class WitnessStage:
 
 
 @dataclass(frozen=True)
-class MixingWitness:
+class MixingWitness(Report):
     """Stages x_m with T^{m n0} x_m = y and geometric norm decay.
 
     The decay rate 1 + eps comes from the certified annulus bound for the
@@ -407,16 +404,8 @@ class MixingWitness:
     failure: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "epsilon": self.epsilon,
-            "constant": self.constant,
-            "targetNorm": self.target_norm,
-            "stages": [s.to_dict() for s in self.stages],
-            "ok": self.ok,
-            "failure": self.failure,
-            "pushforwardIdentity": "(m-1)*n0 applications of the operator map z_m to the target",
-        }
+        return {**super().to_dict(), "pushforwardIdentity":
+                "(m-1)*n0 applications of the operator map z_m to the target"}
 
 
 def _scaled_power(c: float, base: float, k: int) -> float:
@@ -598,20 +587,12 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
 
 
 @dataclass(frozen=True)
-class SpanFit:
+class SpanFit(Report):
     """Least-squares eigenvector coefficients with residuals and condition number."""
     coefficients: np.ndarray
     residual_sup: float
     residual_l2: float
     condition: float
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            "residualSup": self.residual_sup,
-            "residualL2": self.residual_l2,
-            "condition": self.condition,
-        }
 
 
 def span_approximate(
@@ -690,7 +671,7 @@ class MembershipCertificate:
 
 
 @dataclass(frozen=True)
-class GrowthDiagnostic:
+class GrowthDiagnostic(Report):
     """Tail growth evidence that a non-decaying start vector is not a
     universal limit point; heuristic only, never a certified negative."""
 
@@ -699,30 +680,14 @@ class GrowthDiagnostic:
     steps: int
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "measuredRate": self.measured_rate,
-            "certifiedRate": self.certified_rate,
-            "steps": self.steps,
-            "trials": self.trials,
-        }
-
 
 @dataclass(frozen=True)
-class JSetReport:
+class JSetReport(Report):
     """Membership certificates or a growth diagnostic, with the overall status."""
     mode: str  # "membership" | "growth"
     memberships: tuple[MembershipCertificate, ...]
     growth: GrowthDiagnostic | None
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "memberships": [m.to_dict() for m in self.memberships],
-            "growth": self.growth.to_dict() if self.growth else None,
-            "status": self.status,
-        }
 
 
 def _is_null_like(x: TruncatedVector) -> bool:

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, Report
 
 __all__ = [
     "Polynomial",
@@ -406,7 +406,7 @@ def identity_map() -> Polynomial:
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(Report):
     """{z : inner <= |z| <= outer}, centered at 0."""
 
     inner: float
@@ -418,16 +418,13 @@ class Annulus:
         if not (0.0 <= self.inner <= self.outer):
             raise ValueError("need 0 <= inner <= outer")
 
-    def to_dict(self) -> dict:
-        return {"inner": self.inner, "outer": self.outer}
-
 
 # the J-class threshold: condition A asks whether min |f| on the annulus exceeds it
 _THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
-class CertifiedBound:
+class CertifiedBound(Report):
     """Certified lower bound for min |f| over a region.
 
     ``lower_bound <= true min`` always holds.  ``status`` is CERTIFIED when
@@ -450,7 +447,7 @@ class CertifiedBound:
     status: str
     min_sampled: float
     threshold: float = _THRESHOLD
-    inner_winding: tuple[float, WindingResult] | None = field(default=None, compare=False)
+    inner_winding: tuple[float, WindingResult] | None = field(default=None, compare=False, repr=False)
 
     @property
     def width(self) -> float:
@@ -463,17 +460,6 @@ class CertifiedBound:
     @property
     def certifies_violation(self) -> bool:
         return self.status == CERTIFIED and self.min_sampled <= self.threshold
-
-    def to_dict(self) -> dict:
-        return {
-            "lowerBound": self.lower_bound,
-            "witnessPoint": [self.witness_point.real, self.witness_point.imag],
-            "gridStep": self.grid_step,
-            "lipschitzBound": self.lipschitz_bound,
-            "status": self.status,
-            "minSampled": self.min_sampled,
-            "threshold": self.threshold,
-        }
 
 
 # certification width (gap between the smallest sampled value and the
@@ -704,7 +690,7 @@ def min_modulus_on_annulus(
 
 
 @dataclass(frozen=True)
-class WindingResult:
+class WindingResult(Report):
     """Discrete winding number with a validity flag.
 
     ``valid`` is True only when every argument increment stayed below pi/2
@@ -717,14 +703,6 @@ class WindingResult:
     valid: bool
     samples: int
     min_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "winding": self.winding,
-            "valid": self.valid,
-            "samples": self.samples,
-            "minDistance": self.min_distance,
-        }
 
 
 def winding_number(
@@ -778,19 +756,12 @@ def _origin_winding(f: HoloMap, r2: float, cert: CertifiedBound,
 
 
 @dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(Report):
     """Whether f(open disk of the given radius) covers the closed unit disk."""
 
     covers: bool | None
     status: str
     winding: WindingResult
-
-    def to_dict(self) -> dict:
-        return {
-            "covers": self.covers,
-            "status": self.status,
-            "winding": self.winding.to_dict(),
-        }
 
 
 def covers_closed_unit_disk(

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, Report
 from .holo import (
     CERTIFIED,
     UNDECIDED,
@@ -75,7 +75,7 @@ CLOSED_FORM = "CLOSED_FORM"
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Report):
     """Decision with its certificates.
 
     JCLASS carries a certified annulus bound > 1 (condition A) and a valid
@@ -93,18 +93,6 @@ class Verdict:
     condition_b: CoverageResult | None = None
     kernel: KernelReport | None = None
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "route": self.route,
-            "margin": self.margin,
-            "profile": self.profile.to_dict(),
-            "conditionA": self.condition_a.to_dict() if self.condition_a else None,
-            "conditionB": self.condition_b.to_dict() if self.condition_b else None,
-            "kernel": self.kernel.to_dict() if self.kernel else None,
-            "notes": self.notes,
-        }
 
 
 def _verdicts(route: str, prof: SpectralProfile, cert_a: CertifiedBound):
@@ -198,20 +186,12 @@ def decide(op: OperatorSpec, route: str = "geometric", budget: Budget | None = N
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Report):
     """Both routes' verdicts and whether ``cross_check`` finds them consistent."""
     geometric: Verdict
     moduli: Verdict
     consistent: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "detail": self.detail,
-            "geometric": self.geometric.to_dict(),
-            "moduli": self.moduli.to_dict(),
-        }
 
 
 def cross_check(op: OperatorSpec, budget: Budget | None = None) -> ConsistencyReport:
@@ -255,7 +235,7 @@ def _perturbed_weights(w: WeightSequence, rel_delta: float, rng) -> WeightSequen
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Report):
     """Base verdict and the trials whose jittered weights flipped it."""
     base: Verdict
     rel_delta: float
@@ -264,15 +244,9 @@ class StabilityReport:
     stable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "relDelta": self.rel_delta,
-            "trials": self.trials,
-            "flips": [
-                {"trial": t, "decision": d, "weights": wd} for t, d, wd in self.flips
-            ],
-            "stable": self.stable,
-        }
+        d = super().to_dict()
+        d["flips"] = [{"trial": t, "decision": v, "weights": wd} for t, v, wd in self.flips]
+        return d
 
 
 def perturbation_stability(

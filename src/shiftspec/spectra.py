@@ -19,11 +19,11 @@ forms used everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, Report
 from .holo import (
     Annulus,
     CertifiedBound,
@@ -56,7 +56,7 @@ class UnsupportedMapError(ValueError):
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Report):
     """A weighted backward shift composed with a holomorphic map.
 
     The identity map gives the plain shift.  For series maps the validity
@@ -78,9 +78,6 @@ class OperatorSpec:
                 f"exceed the outer spectral radius {prof.r1}"
             )
         return prof
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.to_dict(), "map": self.map.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "OperatorSpec":
@@ -214,7 +211,7 @@ def kernel_nontrivial(op: OperatorSpec) -> KernelReport:
     inner = [z for z in roots if abs(z) < prof.r3 - margin]
     if inner:
         z = min(inner, key=abs)
-        if abs(z) <= margin:
+        if z == 0:  # an exact zero root (roots() lists it as 0j): B_w e_1 = 0
             recipe = {"kind": "basis", "index": 1}
         else:
             recipe = {"kind": "eigenvector", "lambda": [z.real, z.imag]}
@@ -329,18 +326,15 @@ def _kappa_estimate(a: np.ndarray, norm: str, samples: int, rng) -> tuple[float,
 
 
 @dataclass(frozen=True)
-class ModulusEstimate:
+class ModulusEstimate(Report):
     """Sampled estimates of the injectivity modulus kappa and the
     surjectivity modulus s (via kappa of the adjoint in the dual norm).
     Both are upper bounds on the true values."""
 
     kappa: float
     s: float
-    kappa_witness: np.ndarray
+    kappa_witness: np.ndarray = field(repr=False)
     degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "s": self.s, "degenerate": self.degenerate}
 
 
 def brute_force_modulus(

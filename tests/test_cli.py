@@ -489,6 +489,31 @@ def test_simulate_inner_divergence_exits_70(tmp_path, capsys):
     assert wit["stages"] == []
 
 
+# each chain overflows first in one division outside the affine scan: y_k / w_k
+# and zeta / w_k of the inner factor solve, and the preimage's z_k / window product
+@pytest.mark.parametrize("prefix, coeffs, big_target", [
+    ([1e-200] * 2, [[-398, 0], [200, 0]], True),
+    ([1e-308], [[-38, 0], [20, 0]], False),
+    ([1e-200] * 2, IDENTITY, True),
+], ids=["inner_target", "inner_root", "preimage"])
+def test_simulate_overflowing_division_exits_70(tmp_path, capsys, prefix, coeffs, big_target):
+    path = write_instance(tmp_path / "i.json",
+                          {"prefix": prefix, "tail": {"kind": "constant", "value": 2.0}},
+                          {"kind": "poly", "coeffs": coeffs})
+    argv = ["simulate", path, "--stages", "3"]
+    if big_target:
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps([[1e200, 0]] * 256))
+        argv += ["--target", str(target)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_SIM_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == "simulation failure: non-finite norm at stage 1\n"
+    wit = json.loads(captured.out, parse_constant=_reject_constant)
+    assert wit["ok"] is False and wit["failure"] == "non-finite norm at stage 1"
+
+
 @pytest.mark.parametrize("instance", [near_outer, inner_divergence, inner_transient],
                          ids=lambda f: f.__name__)
 def test_simulate_process_exit_code_is_documented(tmp_path, instance):

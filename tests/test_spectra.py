@@ -120,6 +120,20 @@ def test_kernel_identity_map():
     assert rep.eigenvector == {"kind": "basis", "index": 1}
 
 
+def test_kernel_small_nonzero_root_gets_its_eigenvector():
+    # the root -1e-9 of z + 1e-9 is no zero: f(B) e_1 = 1e-9 e_1, while the
+    # eigenvector for lambda = -1e-9 is in the kernel
+    from shiftspec.dynamics import TruncatedVector, apply_operator, eigenvector
+
+    op = const_op(2.0, P(1e-9, 1))
+    rep = kernel_nontrivial(op)
+    assert rep.status == KERNEL_TRUE and rep.root == -1e-9
+    assert rep.eigenvector == {"kind": "eigenvector", "lambda": [-1e-9, 0.0]}
+    x = eigenvector(op.weights, complex(*rep.eigenvector["lambda"]), 64)
+    assert apply_operator(op, x).sup_norm() <= 1e-24
+    assert apply_operator(op, TruncatedVector.basis(64, 1)).sup_norm() == 1e-9
+
+
 def test_kernel_root_outside():
     rep = kernel_nontrivial(const_op(2.0, P(3, 1)))
     assert rep.status == KERNEL_FALSE
