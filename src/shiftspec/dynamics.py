@@ -307,7 +307,8 @@ def solve_factor_outer(
 
 def _solver(op: OperatorSpec, tol: float):
     """Route the map's roots once, by the root disks of the polish; returns
-    y -> x with f(shift) x = y."""
+    y -> x with f(shift) x = y, its ``routed`` attribute the pair (outer
+    roots, inner roots) in the order it solves them."""
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("factor-routed solving needs a polynomial map")
     f = op.map
@@ -338,6 +339,7 @@ def _solver(op: OperatorSpec, tol: float):
             x = preimage_power(op.weights, x, 1) if z == 0 else solve_factor_inner(op.weights, z, x)
         return x
 
+    solve.routed = outer, inner
     return solve
 
 
@@ -496,16 +498,17 @@ def _round_trip_allowance(op, solve, prev, x, n0) -> float:
     f, w, u = op.map, op.weights, sys.float_info.epsilon / 2
     logs = [log_window_sup(w, j, x.size - j) for j in range(1, f.degree + 1)]
     sigma = [1.0] + [math.exp(s) if s < _LOG_MAX else math.inf for s in logs]
-    roots, c = f.roots(), f.coeffs[-1]
+    outer, inner = solve.routed
+    roots, c = outer + inner, f.coeffs[-1]
     norm_f, norm_e = (sum(abs(a) * s for a, s in zip(coeffs, sigma))
                       for coeffs in (f.coeffs, np.subtract(f.coeffs, c * np.poly(roots)[::-1])))
-    r2, g = spectral_profile(w).r2, 16 * (_scan_chunk(x.size - 1) + 1) * u
+    g = 16 * (_scan_chunk(x.size - 1) + 1) * u
     total, amp, v = 0.0, 1.0, prev
     for k in range(1, n0 + 1):
         mag = TruncatedVector(np.abs(v.coords) / abs(c), v.exact_prefix)
         q, terms = 1.0, mag.sup_norm_full()
-        for z in sorted(roots, key=lambda z: abs(z) < r2):  # outer roots first, as solved
-            mag = (solve_factor_inner(w, abs(z), mag) if abs(z) < r2 else
+        for z in roots:
+            mag = (solve_factor_inner(w, abs(z), mag) if z in inner else
                    solve_factor_outer(w, abs(z), TruncatedVector(-mag.coords, mag.exact_prefix), 0.0))
             q *= sigma[1] + abs(z)
             terms += q * mag.sup_norm_full()
@@ -574,16 +577,20 @@ def eigenvector(w: WeightSequence, lam: complex, n: int) -> TruncatedVector:
     e_1 = lam / w_1 (the affine scan with b = 0), so the shift identity
     holds coordinate by coordinate to rounding.  Requires |lam| below the
     leading-window radius r3, which makes the coordinates decay to 0 (a
-    null sequence).
+    null sequence).  The exact prefix ends at the first coordinate that
+    overflowed.
     """
     r3 = spectral_profile(w).r3
     if abs(lam) >= r3:
         raise ValueError(f"|lambda| = {abs(lam)} must stay below the eigenvalue radius {r3}")
     ws = w.values_array(max(1, n - 1))
     e = np.zeros(n, dtype=complex)
-    e[0] = lam / ws[0]
-    _affine_scan(lam / ws[: n - 1], e)
-    return TruncatedVector(e, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite e
+        e[0] = lam / ws[0]
+        a = lam / ws[: n - 1]
+    _affine_scan(a, e)
+    finite = np.isfinite(e)
+    return TruncatedVector(e, n if finite.all() else int(finite.argmin()))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -188,8 +187,44 @@ def _root_radius(coeffs: tuple[complex, ...], z: complex, fz: complex, dz: compl
     return min(rho, degree * res / slope) if slope > 0 else rho
 
 
+class HoloMap:
+    """A map f = sum a_n z^n given by its stored coefficients ``coeffs``.
+
+    Every error bound is the stored coefficients' part plus the neglected
+    tail's part, which ``_tails`` gives; a polynomial has no tail and an
+    infinite validity radius.
+    """
+
+    validity_radius = math.inf
+
+    def monomial_form(self) -> tuple[complex, int] | None:
+        return None
+
+    def _tails(self, radius: float) -> tuple[float, float, float]:
+        """Bounds for the neglected tails of f, f' and f'' on |z| <= radius."""
+        return 0.0, 0.0, 0.0
+
+    def eval_error(self, radius: float) -> float:
+        """Upper bound for the truncation error on |z| <= radius."""
+        return self._tails(radius)[0]
+
+    def eval_round_error(self, radius: float) -> float:
+        return _round_error(self.coeffs, radius)
+
+    def derivative_error(self, radius: float) -> float:
+        """Allowance for the error of the computed f' on |z| <= radius:
+        Horner rounding plus the neglected derivative tail."""
+        return _derivative_round_error(self.coeffs, radius) + self._tails(radius)[1]
+
+    def lipschitz_bound(self, radius: float) -> float:
+        return _coeff_lipschitz(self.coeffs, radius) + self._tails(radius)[1]
+
+    def second_derivative_bound(self, radius: float) -> float:
+        return _coeff_curvature(self.coeffs, radius) + self._tails(radius)[2]
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(HoloMap):
     """Polynomial in ascending coefficient order; trailing zeros stripped."""
 
     coeffs: tuple[complex, ...]
@@ -206,39 +241,15 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def validity_radius(self) -> float:
-        return math.inf
-
     def monomial_form(self) -> tuple[complex, int] | None:
-        """(a, d) when f = a z^d (a single nonzero coefficient), else None."""
-        nonzero = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if len(nonzero) == 1:
-            d = nonzero[0]
-            return self.coeffs[d], d
-        if not nonzero:
-            return 0j, 0
-        return None
+        """(a, d) when f = a z^d (a single nonzero coefficient), else None;
+        with trailing zeros stripped, only the leading one can be nonzero."""
+        d = self.degree
+        return None if any(self.coeffs[:d]) else (self.coeffs[d], d)
 
     def eval(self, z, derivative: bool = False):
         """f(z); with ``derivative``, the pair (f(z), f'(z))."""
         return _horner(self.coeffs, z, derivative)
-
-    def eval_error(self, radius: float) -> float:
-        return 0.0
-
-    def eval_round_error(self, radius: float) -> float:
-        return _round_error(self.coeffs, radius)
-
-    def derivative_error(self, radius: float) -> float:
-        """Allowance for the error of the computed f' on |z| <= radius."""
-        return _derivative_round_error(self.coeffs, radius)
-
-    def lipschitz_bound(self, radius: float) -> float:
-        return _coeff_lipschitz(self.coeffs, radius)
-
-    def second_derivative_bound(self, radius: float) -> float:
-        return _coeff_curvature(self.coeffs, radius)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -291,7 +302,7 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Series:
+class Series(HoloMap):
     """Power series with |a_n| <= tail_bound * tail_ratio^n beyond the stored
     coefficients, evaluable on |z| < validity_radius.
 
@@ -305,7 +316,7 @@ class Series:
     coeffs: tuple[complex, ...]
     tail_bound: float
     tail_ratio: float
-    validity_radius: float
+    validity_radius: float = field()  # required, not HoloMap's infinite default
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_complex_tuple(self.coeffs))
@@ -324,71 +335,32 @@ class Series:
             raise ValueError("validity radius too large for the tail ratio "
                              "(need tail_ratio * radius <= 1)")
 
-    def monomial_form(self):
-        return None
-
     def eval(self, z, derivative: bool = False):
         """Stored part of f at z; with ``derivative``, the pair (f(z), f'(z)).
         ``eval_error`` and ``derivative_error`` bound the neglected tails."""
         size = abs(z) if isinstance(z, (complex, float, int)) else np.max(np.abs(z))
         if size >= self.validity_radius:
-            raise DomainError(
-                f"|z| >= validity radius {self.validity_radius}"
-            )
+            raise DomainError(f"|z| >= validity radius {self.validity_radius}")
         return _horner(self.coeffs, z, derivative)
 
-    def eval_error(self, radius: float) -> float:
-        """Upper bound for the truncation error on |z| <= radius."""
+    def _tails(self, radius: float) -> tuple[float, float, float]:
+        """With B = tail_bound, q = tail_ratio, s = q radius and m stored
+        coefficients: B sum_{n>=m} s^n = B s^m / (1 - s) for f,
+        B sum_{n>=m} n q^n r^(n-1) for f', and B sum_{n>=m} n (n-1) q^n
+        r^(n-2) = B q^2 (d/ds)^2 [s^m / (1 - s)] for f''."""
         if radius >= self.validity_radius:
             raise DomainError("radius outside validity disk")
-        s = self.tail_ratio * radius
-        n_stored = len(self.coeffs)
-        return self.tail_bound * s**n_stored / (1.0 - s)
-
-    def eval_round_error(self, radius: float) -> float:
-        return _round_error(self.coeffs, radius)
-
-    def _derivative_tail(self, radius: float) -> float:
-        """B * sum_{n>=m} n q^n r^(n-1), m = number stored: bounds the
-        neglected part of f' on |z| <= radius."""
-        if radius >= self.validity_radius:
-            raise DomainError("radius outside validity disk")
-        m = len(self.coeffs)
-        s = self.tail_ratio * radius
-        return self.tail_bound * self.tail_ratio * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2
-
-    def derivative_error(self, radius: float) -> float:
-        """Allowance for the error of the computed f' on |z| <= radius:
-        Horner rounding plus the neglected derivative tail."""
-        return _derivative_round_error(self.coeffs, radius) + self._derivative_tail(radius)
-
-    def lipschitz_bound(self, radius: float) -> float:
-        return _coeff_lipschitz(self.coeffs, radius) + self._derivative_tail(radius)
-
-    def second_derivative_bound(self, radius: float) -> float:
-        if radius >= self.validity_radius:
-            raise DomainError("radius outside validity disk")
-        # B * sum_{n>=m} n (n-1) q^n r^(n-2) = B q^2 (d/ds)^2 [s^m / (1 - s)]
-        m = len(self.coeffs)
-        s = self.tail_ratio * radius
-        tail = self.tail_bound * self.tail_ratio**2 * (
-            m * (m - 1) * s ** max(m - 2, 0) * (1 - s) ** 2
-            + 2 * m * s ** (m - 1) * (1 - s)
-            + 2 * s**m
-        ) / (1 - s) ** 3
-        return _coeff_curvature(self.coeffs, radius) + tail
+        m, b, q = len(self.coeffs), self.tail_bound, self.tail_ratio
+        s = q * radius
+        return (b * s**m / (1.0 - s),
+                b * q * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2,
+                b * q**2 * (m * (m - 1) * s ** max(m - 2, 0) * (1 - s) ** 2
+                            + 2 * m * s ** (m - 1) * (1 - s) + 2 * s**m) / (1 - s) ** 3)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "series",
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            "tailBound": self.tail_bound,
-            "tailRatio": self.tail_ratio,
-            "radius": self.validity_radius,
-        }
-
-
-HoloMap = Union[Polynomial, Series]
+        return {"kind": "series", "coeffs": [[c.real, c.imag] for c in self.coeffs],
+                "tailBound": self.tail_bound, "tailRatio": self.tail_ratio,
+                "radius": self.validity_radius}
 
 
 def holo_from_dict(d: dict) -> HoloMap:
@@ -661,7 +633,7 @@ def min_modulus_on_annulus(
     evaluation there could certify anything.
     """
     budget = budget or Budget()
-    if isinstance(f, Series) and ann.outer >= f.validity_radius:
+    if ann.outer >= f.validity_radius:
         raise DomainError("annulus exceeds the series validity disk")
     if not math.isfinite(f.eval_round_error(ann.outer)):
         raise ValueError(f"sum |a_n| r^n at r = {ann.outer} overflows the float range")
@@ -715,7 +687,7 @@ def winding_number(
     budget = budget or Budget()
     if radius <= 0:
         raise ValueError("winding circle radius must be positive")
-    if isinstance(f, Series) and radius >= f.validity_radius:
+    if radius >= f.validity_radius:
         raise DomainError("winding circle exceeds the series validity disk")
     tail_err = f.eval_error(radius) + f.eval_round_error(radius)
     lip = float(f.lipschitz_bound(radius))

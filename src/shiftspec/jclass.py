@@ -35,7 +35,6 @@ from .holo import (
     CoverageResult,
     HoloMap,
     Polynomial,
-    Series,
     _origin_winding,
     covers_closed_unit_disk,
 )
@@ -168,8 +167,6 @@ def decide_moduli(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
 
 def decide_unweighted(f: HoloMap, budget: Budget | None = None) -> Verdict:
     """Decision for the plain backward shift (all radii equal to 1)."""
-    if isinstance(f, Series) and f.validity_radius <= 1.0:
-        raise ValueError("map must be holomorphic beyond the closed unit disk")
     op = OperatorSpec(WeightSequence.constant(1.0), f)
     return decide_geometric(op, budget)
 

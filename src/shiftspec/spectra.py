@@ -29,7 +29,6 @@ from .holo import (
     CertifiedBound,
     HoloMap,
     Polynomial,
-    Series,
     holo_from_dict,
     min_modulus_on_annulus,
 )
@@ -72,7 +71,7 @@ class OperatorSpec(Report):
 
     def check_validity(self) -> SpectralProfile:
         prof = self.profile()
-        if isinstance(self.map, Series) and self.map.validity_radius <= prof.r1:
+        if self.map.validity_radius <= prof.r1:
             raise ValueError(
                 f"series validity radius {self.map.validity_radius} does not "
                 f"exceed the outer spectral radius {prof.r1}"

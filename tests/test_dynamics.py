@@ -801,6 +801,21 @@ def test_round_trip_allowance_only_past_the_bar(monkeypatch):
     assert wit.failure == "round trip residual 0.0001220703125 at stage 1"
 
 
+def test_round_trip_allowance_follows_the_routed_roots(monkeypatch):
+    # the allowance reads the roots in the order solve routed them and
+    # polishes none again: one polish per witness, however many allowances
+    op = OperatorSpec(WeightSequence.constant(2.0, (0.01,) * 5), P(-398, 200))
+    polishes, roots = [], Polynomial.roots
+    monkeypatch.setattr(Polynomial, "roots", lambda f, *a, **k: polishes.append(f) or roots(f, *a, **k))
+    allowances, allowance = [], dynamics._round_trip_allowance
+    monkeypatch.setattr(dynamics, "_round_trip_allowance", lambda op, solve, *a:
+                        allowances.append(solve.routed) or allowance(op, solve, *a))
+    assert mixing_witness(op, TruncatedVector.ones(256), 3).ok
+    assert len(polishes) == 1 and allowances == [([], [1.99 + 0j])] * 3
+    outer_inner = OperatorSpec(WeightSequence.constant(2.0), P(4.5, -9.5, 1))
+    assert dynamics._solver(outer_inner, 1e-9).routed == ([9 + 0j], [0.5 + 0j])
+
+
 @pytest.mark.xfail(strict=True, reason="the witness fits its constant over 4 stages, which a "
                    "6-weight prefix outlasts: C = 16, the true constant is 64 (ROADMAP Fix first 2)")
 def test_mixing_witness_long_prefix():
@@ -1002,6 +1017,18 @@ def test_eigenvector_constant_weights_closed_form():
 def test_eigenvector_zero_lambda():
     ev = eigenvector(WeightSequence.constant(2.0), 0.0, 8)
     assert np.all(ev.coords == 0)
+
+
+@pytest.mark.parametrize("prefix, exact", [((1e-308,), 0), ((1e-300, 1e-10), 1)])
+def test_eigenvector_overflow_ends_the_exact_prefix(prefix, exact):
+    # lambda = 1.9 is below r3 = 2, but a coordinate 1.9^k / (w_1 ... w_k)
+    # passes the float range: no warning, and the exact prefix stops there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = eigenvector(WeightSequence(prefix, ConstantTail(2.0)), 1.9, 16)
+    assert ev.exact_prefix == exact
+    assert np.isfinite(ev.coords[:exact]).all() and not np.isfinite(ev.coords[exact])
+    assert ev.coords[:exact].tolist() == [1.9 / 1e-300][:exact]
 
 
 def test_eigenvector_rejects_large_lambda():

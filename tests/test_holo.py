@@ -163,6 +163,40 @@ def test_second_derivative_bound_dominates_second_differences(rng):
         assert second.max() <= curv * d * d * 1.0001 + 1e-12
 
 
+# -- the shared error model ----------------------------------------------
+
+TAIL_BOUNDS = ("eval_error", "derivative_error", "lipschitz_bound", "second_derivative_bound")
+
+
+def test_series_without_tail_bounds_like_its_polynomial():
+    # a map's bounds are its coefficients' part plus its tail's part, and a
+    # zero tail bound adds nothing, bit for bit
+    coeffs = (1 - 2j, 0.5, 0, 3j, -0.25)
+    f, s = P(*coeffs), Series(coeffs, 0.0, 0.25, 4.0)
+    for r in (0.0, 0.3, 1.0, 2.5, 3.99):
+        for name in (*TAIL_BOUNDS, "eval_round_error"):
+            assert getattr(s, name)(r).hex() == getattr(f, name)(r).hex(), (name, r)
+
+
+@pytest.mark.parametrize("name", TAIL_BOUNDS)
+def test_series_bounds_refuse_the_validity_circle_and_beyond(name):
+    s = Series((1, 0.5), 1.0, 0.5, 2.0)
+    assert math.isfinite(getattr(s, name)(1.99))
+    for r in (2.0, 2.5):
+        with pytest.raises(DomainError):
+            getattr(s, name)(r)
+
+
+def test_validity_radius_and_monomial_form_by_kind():
+    assert P(1, 2).validity_radius == math.inf and P(0).validity_radius == math.inf
+    assert P(0).monomial_form() == (0j, 0) and P(-2).monomial_form() == (-2, 0)
+    assert P(0, 0, 3j).monomial_form() == (3j, 2) and P(1, 0, 3).monomial_form() is None
+    s = Series((0, 0, 3.0), 0.5, 0.5, 2.0)
+    assert s.validity_radius == 2.0 and s.monomial_form() is None
+    with pytest.raises(TypeError):  # a series states its radius
+        Series((1,), 1.0, 0.5)
+
+
 def test_eval_with_derivative_matches(rng):
     for _ in range(10):
         f = random_poly(rng, max_degree=6)

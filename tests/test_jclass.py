@@ -152,6 +152,13 @@ def test_unweighted_examples():
     assert decide_unweighted(P(0, 0, 2)).decision == JCLASS
 
 
+def test_unweighted_refuses_a_series_within_the_unit_disk():
+    # all radii are 1, so the validity check is the spectral one at r1 = 1
+    with pytest.raises(ValueError, match="validity radius 1.0 does not exceed .* radius 1.0"):
+        decide_unweighted(Series((0, 2), 0.1, 1.0, 1.0))
+    assert decide_unweighted(Series((0, 2), 1e-3, 0.5, 2.0)).decision == JCLASS
+
+
 # -- moduli route -----------------------------------------------------------
 
 
