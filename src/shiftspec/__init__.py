@@ -14,7 +14,7 @@ _EXPORTS = {
     "holo": ("Annulus", "CertifiedBound", "Polynomial", "Series", "identity_map",
              "min_modulus_on_annulus", "winding_number", "covers_closed_unit_disk"),
     "spectra": ("OperatorSpec", "SpectralPicture", "spectral_picture", "i_of_adjoint",
-                "kernel_nontrivial", "brute_force_modulus"),
+                "kernel_nontrivial", "truncation_modulus"),
     "jclass": ("JCLASS", "NOT_JCLASS", "VERDICT_UNDECIDED", "Verdict", "decide",
                "decide_geometric", "decide_moduli", "decide_unweighted", "cross_check",
                "perturbation_stability"),

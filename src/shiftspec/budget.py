@@ -62,10 +62,8 @@ class Budget(Report):
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "Budget":
+        """Inverse of ``to_dict``: each key present, cast by the type of its
+        field's default; a missing key (or ``None`` for ``d``) keeps it."""
         d = d or {}
-        return cls(
-            grid_max=int(d.get("gridMax", cls.grid_max)),
-            winding_max=int(d.get("windingMax", cls.winding_max)),
-            truncation_n=int(d.get("truncationN", cls.truncation_n)),
-            tol=float(d.get("tol", cls.tol)),
-        )
+        return cls(**{name: type(getattr(cls, name))(d[key])
+                      for name, key in _json_keys(cls) if key in d})

@@ -310,7 +310,9 @@ class Series(HoloMap):
     / (1 - tail_ratio*rho) with N the last stored index, which is finite on
     the whole validity disk because tail_ratio * validity_radius <= 1 is
     required at construction.  That is the only constraint on tail_ratio
-    beyond positivity: it may exceed 1 when validity_radius < 1.
+    beyond positivity: it may exceed 1 when validity_radius < 1.  The tail
+    bounds still refuse a radius whose rounded product tail_ratio * radius
+    reaches 1.
     """
 
     coeffs: tuple[complex, ...]
@@ -331,7 +333,7 @@ class Series(HoloMap):
             raise ValueError("tail bound must be nonnegative")
         if not (self.validity_radius > 0):
             raise ValueError("validity radius must be positive")
-        if self.tail_ratio * self.validity_radius > 1.0 + 1e-12:
+        if self.tail_ratio * self.validity_radius > 1.0:
             raise ValueError("validity radius too large for the tail ratio "
                              "(need tail_ratio * radius <= 1)")
 
@@ -348,10 +350,10 @@ class Series(HoloMap):
         coefficients: B sum_{n>=m} s^n = B s^m / (1 - s) for f,
         B sum_{n>=m} n q^n r^(n-1) for f', and B sum_{n>=m} n (n-1) q^n
         r^(n-2) = B q^2 (d/ds)^2 [s^m / (1 - s)] for f''."""
-        if radius >= self.validity_radius:
-            raise DomainError("radius outside validity disk")
         m, b, q = len(self.coeffs), self.tail_bound, self.tail_ratio
         s = q * radius
+        if radius >= self.validity_radius or s >= 1.0:
+            raise DomainError("radius outside validity disk")
         return (b * s**m / (1.0 - s),
                 b * q * s ** (m - 1) * (m * (1 - s) + s) / (1 - s) ** 2,
                 b * q**2 * (m * (m - 1) * s ** max(m - 2, 0) * (1 - s) ** 2

@@ -1,8 +1,8 @@
 """Spectral pictures of weighted shifts and their holomorphic images.
 
 Spectra in scope are never enumerated pointwise: each one is the image of a
-centered disk or annulus under the map, so a region is stored as (radii,
-map) and queried by sampling.  For the weight sequence w with radii
+centered disk or annulus under the map, so a region is stored as its base
+(radii and closedness) and the map.  For the weight sequence w with radii
 (r1, r2, r3):
 
   * the full spectrum of the image operator is f(closed disk r1);
@@ -12,14 +12,13 @@ map) and queried by sampling.  For the weight sequence w with radii
   * f(open disk r3) consists of eigenvalues (each witnessed by an explicit
     eigenvector), so it sits inside the point spectrum.
 
-The module also hosts the finite-truncation sampling oracle for the
-injectivity and surjectivity moduli, used to cross-validate the closed
+The module also gives the exact injectivity and surjectivity moduli of
+finite truncations (``truncation_modulus``), which cross-check the closed
 forms used everywhere else.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ __all__ = [
     "spectral_picture",
     "i_of_adjoint",
     "kernel_nontrivial",
-    "brute_force_modulus",
+    "truncation_modulus",
     "compressed_forward_power_matrix",
     "induced_matrix_norm",
     "UnsupportedMapError",
@@ -92,21 +91,6 @@ class ImageRegion:
     inner: float
     outer: float
     closed: bool
-
-    def base_contains(self, z: complex) -> bool:
-        r = abs(z)
-        if self.closed:
-            return self.inner <= r <= self.outer
-        return self.inner <= r < self.outer
-
-    def base_samples(self, n: int, seed: int = 0) -> np.ndarray:
-        """n points of the base region (area-uniform, deterministic)."""
-        rng = np.random.default_rng(seed)
-        lo, hi = self.inner**2, self.outer**2
-        shrink = 1.0 if self.closed else 1.0 - 1e-9
-        radii = np.sqrt(rng.uniform(lo, hi * shrink**2, n))
-        angles = rng.uniform(0.0, 2.0 * math.pi, n)
-        return radii * np.exp(1j * angles)
 
     def to_dict(self) -> dict:
         return {
@@ -228,7 +212,7 @@ def kernel_nontrivial(op: OperatorSpec) -> KernelReport:
     )
 
 
-# -- finite truncation oracles ---------------------------------------------
+# -- finite truncation moduli ----------------------------------------------
 
 
 def compressed_forward_power_matrix(w: WeightSequence, n: int, power: int) -> np.ndarray:
@@ -237,14 +221,6 @@ def compressed_forward_power_matrix(w: WeightSequence, n: int, power: int) -> np
     coordinate overflows the truncation (the zero overflow rows are dropped).
     """
     return np.diag(window_products(w, power, n).astype(complex))
-
-
-def _vec_norm(x: np.ndarray, norm: str, axis=0) -> np.ndarray:
-    if norm == "one":
-        return np.sum(np.abs(x), axis=axis)
-    if norm == "sup":
-        return np.max(np.abs(x), axis=axis)
-    raise ValueError(f"unknown norm {norm!r}")
 
 
 def induced_matrix_norm(a: np.ndarray, norm: str) -> float:
@@ -259,106 +235,32 @@ def induced_matrix_norm(a: np.ndarray, norm: str) -> float:
 _DUAL = {"one": "sup", "sup": "one"}
 
 
-def _unit_sphere_batch(dim: int, norm: str, count: int, rng) -> np.ndarray:
-    phases = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, (count, dim)))
-    if norm == "one":
-        mags = rng.dirichlet(np.ones(dim), size=count)
-        return mags * phases
-    mags = rng.uniform(0.0, 1.0, (count, dim))
-    corner = rng.uniform(0.0, 1.0, count) < 0.25
-    mags[corner] = 1.0
-    mags /= mags.max(axis=1, keepdims=True)
-    return mags * phases
-
-
-def _renormalize(x: np.ndarray, norm: str) -> np.ndarray:
-    nrm = float(_vec_norm(x, norm))
-    if nrm == 0.0:
-        raise ZeroDivisionError
-    return x / nrm
-
-
-def _kappa_estimate(a: np.ndarray, norm: str, samples: int, rng) -> tuple[float, np.ndarray]:
-    """min ||Ax|| over sampled unit-norm x, plus local descent polish.
-
-    Always an upper bound on the true injectivity modulus.
-    """
-    dim = a.shape[0]
-    cands = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
-    batch = _unit_sphere_batch(dim, norm, samples, rng)
-    vals = _vec_norm(a @ batch.T, norm, axis=0)
-    order = np.argsort(vals)[: min(16, samples)]
-    cands.extend(batch[i] for i in order)
-    scored = sorted(
-        ((float(_vec_norm(a @ x, norm)), k) for k, x in enumerate(cands)),
-        key=lambda t: t[0],
-    )
-
-    best_val, best_x = scored[0][0], cands[scored[0][1]]
-    for start_val, k in scored[:6]:
-        x, val = cands[k].copy(), start_val
-        sigma, stall = 0.3, 0
-        for _ in range(700):
-            if rng.uniform() < 0.5:
-                step = sigma * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            else:
-                step = np.zeros(dim, dtype=complex)
-                j = int(rng.integers(dim))
-                step[j] = sigma * (rng.standard_normal() + 1j * rng.standard_normal())
-            try:
-                y = _renormalize(x + step, norm)
-            except ZeroDivisionError:
-                continue
-            v = float(_vec_norm(a @ y, norm))
-            if v < val:
-                x, val, stall = y, v, 0
-            else:
-                stall += 1
-                if stall >= 16:
-                    sigma *= 0.6
-                    stall = 0
-                    if sigma < 1e-10:
-                        break
-        if val < best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
-
-
 @dataclass(frozen=True)
 class ModulusEstimate(Report):
-    """Sampled estimates of the injectivity modulus kappa and the
-    surjectivity modulus s (via kappa of the adjoint in the dual norm).
-    Both are upper bounds on the true values."""
+    """The injectivity modulus kappa = min ||Ax|| over unit x and the
+    surjectivity modulus s of a square truncation A, both exact up to
+    rounding; ``degenerate`` marks a kappa that is zero at A's scale."""
 
     kappa: float
     s: float
-    kappa_witness: np.ndarray = field(repr=False)
     degenerate: bool
 
 
-def brute_force_modulus(
-    matrix: np.ndarray,
-    norm: str = "one",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> ModulusEstimate:
+def truncation_modulus(matrix: np.ndarray, norm: str = "one") -> ModulusEstimate:
+    """Both moduli of a square matrix in an induced norm.
+
+    In finite dimensions kappa = 1/||A^-1||, and s is kappa of the adjoint in
+    the dual norm (V. Muller, Spectral Theory of Linear Operators, 2007).  Each
+    is computed from its own inverse, so agreement of the two checks the
+    duality; a singular matrix has both moduli 0.
+    """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if a.shape[0] > 12:
-        raise ValueError("brute-force modulus oracle is limited to dimension 12")
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples for a meaningful estimate")
-    if norm not in _DUAL:
-        raise ValueError(f"unknown norm {norm!r}")
-    rng = np.random.default_rng(seed)
-    kappa, witness = _kappa_estimate(a, norm, samples, rng)
-    rng_s = np.random.default_rng(seed + 1)
-    s, _ = _kappa_estimate(a.conj().T, _DUAL[norm], samples, rng_s)
     scale = induced_matrix_norm(a, norm)
-    return ModulusEstimate(
-        kappa=kappa,
-        s=s,
-        kappa_witness=witness,
-        degenerate=bool(kappa <= 1e-12 * max(scale, 1.0)),
-    )
+    try:
+        kappa = 1.0 / induced_matrix_norm(np.linalg.inv(a), norm)
+        s = 1.0 / induced_matrix_norm(np.linalg.inv(a.conj().T), _DUAL[norm])
+    except np.linalg.LinAlgError:
+        kappa = s = 0.0
+    return ModulusEstimate(kappa, s, bool(kappa <= 1e-12 * max(scale, 1.0)))

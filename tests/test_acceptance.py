@@ -34,8 +34,8 @@ from shiftspec.jclass import (
 )
 from shiftspec.spectra import (
     OperatorSpec,
-    brute_force_modulus,
     compressed_forward_power_matrix,
+    truncation_modulus,
 )
 from shiftspec.weights import (
     WeightSequence,
@@ -148,20 +148,18 @@ def test_criterion_05_modulus_oracle_matches_closed_form():
     t0 = time.perf_counter()
     rng = np.random.default_rng(505)
     worst = 0.0
-    for i in range(20):
+    for _ in range(20):
         w = _structured_weights_for_truncation(rng)
         n = int(rng.integers(1, 4))
-        est = brute_force_modulus(
-            compressed_forward_power_matrix(w, 8, n), "one", 100_000, seed=i
-        )
+        est = truncation_modulus(compressed_forward_power_matrix(w, 8, n), "one")
         true = kappa_forward_power(w, n)
         worst = max(worst, abs(est.kappa - true) / true)
     elapsed = time.perf_counter() - t0
     report(
         5,
-        worst <= 0.05 and elapsed < 120.0,
-        f"sampled modulus vs closed form, worst relative error {worst:.4f} "
-        f"over 20 instances in {elapsed:.1f}s",
+        worst <= 1e-12 and elapsed < 120.0,
+        f"exact truncation modulus vs closed form, worst relative error {worst:.1e} "
+        f"over 20 instances in {elapsed:.3f}s",
     )
 
 

@@ -272,6 +272,30 @@ def test_decide_series_moduli_unsupported(tmp_path, capsys):
     assert main(["decide", path, "--route", "moduli"]) == EXIT_UNSUPPORTED
 
 
+def test_series_tail_at_its_float_edge_is_invalid_input(tmp_path, capsys):
+    # tail_ratio * validity_radius rounds to 1, so the series is accepted, and
+    # tail_ratio * r1 rounds to 1 as well: the tail bounds at r1 have no finite
+    # value, so the geometric route refuses the instance
+    q = 1 + 5e-13
+    series = {"kind": "series", "coeffs": [[0, 0], [0.5, 0]], "tailBound": 1.0, "tailRatio": q}
+    path = write_instance(tmp_path / "i.json",
+                          {"prefix": [], "tail": {"kind": "constant", "value": 1 / q}},
+                          {**series, "radius": math.nextafter(1 / q, 2.0)})
+    for route in ("geometric", "both"):
+        assert main(["decide", path, "--route", route]) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: radius outside validity disk\n"
+    # a validity radius whose product with the ratio passes 1 is refused as it
+    # is read: near that radius the tail bounds would be negative
+    path = write_instance(tmp_path / "j.json",
+                          {"prefix": [], "tail": {"kind": "constant", "value": 0.9999999999999}},
+                          {**series, "radius": 1.0})
+    assert main(["decide", path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need tail_ratio * radius <= 1" in captured.err
+
+
 def test_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"weights": \n  oops}')

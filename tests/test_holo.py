@@ -64,6 +64,23 @@ def test_series_domain_error():
         Series((1,), tail_bound=1.0, tail_ratio=0.9, validity_radius=2.0)
 
 
+def test_series_tails_refuse_a_product_that_reaches_one():
+    # the product 1.0000000000005 * 0.9999999999999 passes 1, where the tail
+    # bounds would be negative (-2.5e12), so no validity radius of 1 is accepted
+    with pytest.raises(ValueError, match="tail_ratio \\* radius <= 1"):
+        Series((1,), 1.0, 1 + 5e-13, 1.0)
+    # here tail_ratio * validity_radius rounds to exactly 1, and so does
+    # tail_ratio * r at r = 1 / (1 + 5e-13) inside the disk (a division by zero)
+    q = 1 + 5e-13
+    r = 1 / q
+    s = Series((1,), 1.0, q, math.nextafter(r, 2.0))
+    assert q * s.validity_radius == q * r == 1.0 and r < s.validity_radius
+    for bound in (s.eval_error, s.derivative_error, s.lipschitz_bound, s.second_derivative_bound):
+        with pytest.raises(DomainError):
+            bound(r)
+    assert 0.0 < s.eval_error(0.9999999999999 * r) < math.inf
+
+
 def test_series_truncation_error_bound():
     # geometric series sum q^n z^n truncated at N vs N+10
     q = 0.4

@@ -33,7 +33,7 @@ def _reports():
         "Annulus": Annulus(1.0, 2.0),
         "Verdict": verdict,
         "ConsistencyReport": cross_check(OP),
-        "ModulusEstimate": ModulusEstimate(1.0, 2.0, np.ones(3), False),
+        "ModulusEstimate": ModulusEstimate(1.0, 2.0, False),
         "TruncatedVector": TruncatedVector.ones(4),
         "SpanFit": SpanFit(np.array([1 + 2j]), 0.5, 0.25, 3.0),
         "GrowthDiagnostic": GrowthDiagnostic(2.0, 1.5, 20, 3),
@@ -127,7 +127,6 @@ def test_repr_false_fields_stay_out_of_the_json(reports):
     cert = i_of_adjoint(OperatorSpec(WeightSequence.doubling_blocks(2.0, 1.0), Polynomial((3, 0, 1))))
     assert cert.inner_winding is not None
     assert "innerWinding" not in cert.to_dict()
-    assert "kappaWitness" not in reports["ModulusEstimate"].to_dict()
 
     @dataclass(frozen=True)
     class Example(Report):

@@ -11,12 +11,11 @@ from shiftspec.spectra import (
     KERNEL_TRUE,
     OperatorSpec,
     UnsupportedMapError,
-    brute_force_modulus,
     compressed_forward_power_matrix,
     i_of_adjoint,
-    induced_matrix_norm,
     kernel_nontrivial,
     spectral_picture,
+    truncation_modulus,
 )
 from shiftspec.weights import WeightSequence, kappa_forward_power
 
@@ -63,13 +62,12 @@ def test_picture_blocks_annulus():
 
 
 def test_picture_inner_disk_inside_full(rng):
-    # base inclusion plus image sampling: every inner-disk image point is
-    # the image of a point of the full-spectrum base region
+    # both bases are centered disks from 0, so the inner one (open, radius
+    # r3) lies in the full one (closed, radius r1) exactly when r3 <= r1
     op = OperatorSpec(random_weights(rng), P(0.3, 1, 0.2))
     pic = spectral_picture(op)
+    assert pic.point_inner_disk.inner == pic.full_spectrum.inner == 0.0
     assert pic.point_inner_disk.outer <= pic.full_spectrum.outer + 1e-12
-    for z in pic.point_inner_disk.base_samples(100, seed=3):
-        assert pic.full_spectrum.base_contains(complex(z))
 
 
 def test_picture_series_validity_checked():
@@ -171,69 +169,91 @@ def test_kernel_series_unsupported():
         kernel_nontrivial(OperatorSpec(WeightSequence.constant(2.0), s))
 
 
-# -- brute-force modulus oracle -------------------------------------------
+def _near_circle_power(d, a):
+    # (z - a)^d by the binomial theorem
+    return P(*(math.comb(d, k) * (-a) ** (d - k) for k in range(d + 1)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="kernel_nontrivial classifies roots by a fixed 1e-8 * "
+                   "max(1, r1) margin, not by the root disks of the polish that the solver "
+                   "routes by: 229 of these 366 claims are unsupported by the disks")
+def test_kernel_claims_are_supported_by_the_root_disks():
+    # a root of multiplicity d within 2e-3 of the circle |z| = 2 = r1 = r3: a
+    # TRUE needs a disk inside the open disk r3, a FALSE every disk outside r1
+    w = WeightSequence.constant(2.0)
+    r1 = r3 = 2.0
+    unsupported = []
+    for d in (2, 3, 4):
+        for a in 2 * (1 + np.outer((1, -1), np.logspace(-9, -3, 61)).ravel()):
+            op = OperatorSpec(w, _near_circle_power(d, a))
+            rep = kernel_nontrivial(op)
+            roots, radii = op.map.roots(radii=True)
+            if rep.status == KERNEL_TRUE:
+                held = any(abs(z) + rho < r3 for z, rho in zip(roots, radii))
+            else:
+                held = rep.status == KERNEL_INCONCLUSIVE or all(
+                    abs(z) - rho > r1 for z, rho in zip(roots, radii))
+            if not held:
+                unsupported.append((d, float(a), rep.status))
+    assert unsupported == []
+
+
+# -- exact truncation moduli ---------------------------------------------
 
 
 def test_truncation_boundary_subtlety():
     # the naive 4x4 truncation sends the last basis vector to zero, so its
     # injectivity modulus collapses; the compression restores the true value
     w = WeightSequence.constant(2.0)
-    naive = brute_force_modulus(forward_shift_matrix(w, 4), "one", 10_000, seed=1)
-    assert naive.kappa <= 1e-9
+    naive = truncation_modulus(forward_shift_matrix(w, 4), "one")
+    assert naive.kappa == 0.0 and naive.s == 0.0
     assert naive.degenerate
-    comp = brute_force_modulus(
-        compressed_forward_power_matrix(w, 4, 1), "one", 10_000, seed=1
-    )
-    assert comp.kappa == pytest.approx(2.0, rel=1e-6)
+    comp = truncation_modulus(compressed_forward_power_matrix(w, 4, 1), "one")
+    assert comp.kappa == comp.s == 2.0
+    assert not comp.degenerate
 
 
 def test_identity_matrix_moduli():
-    est = brute_force_modulus(np.eye(3, dtype=complex), "sup", 10_000, seed=2)
-    assert est.kappa == pytest.approx(1.0, rel=1e-6)
-    assert est.s == pytest.approx(1.0, rel=1e-6)
+    est = truncation_modulus(np.eye(3, dtype=complex), "sup")
+    assert est.kappa == est.s == 1.0
 
 
 def test_diag_one_norm():
-    est = brute_force_modulus(np.diag([1.0, 2.0, 3.0]).astype(complex), "one", 10_000, seed=3)
-    assert est.kappa == pytest.approx(1.0, rel=0.05)
-    assert est.s == pytest.approx(1.0, rel=0.05)
+    est = truncation_modulus(np.diag([1.0, 2.0, 3.0]).astype(complex), "one")
+    assert est.kappa == est.s == 1.0
 
 
 def test_estimates_are_upper_bounds():
-    # true kappa of a diagonal is the smallest entry in both norms
-    d = np.diag([0.5, 1.5, 2.5]).astype(complex)
+    # kappa of a diagonal is its smallest entry in modulus, in both norms
+    d = np.diag([0.5, -1.5j, 2.5]).astype(complex)
     for norm in ("one", "sup"):
-        est = brute_force_modulus(d, norm, 10_000, seed=4)
-        assert est.kappa >= 0.5 - 1e-12
-        assert est.kappa == pytest.approx(0.5, rel=0.05)
+        est = truncation_modulus(d, norm)
+        assert est.kappa == est.s == 0.5
 
 
 def test_duality_against_inverse_norm(rng):
-    # for invertible T the surjectivity modulus is 1 / ||T^-1||, an
-    # independent exact oracle for the adjoint-in-dual-norm estimate
+    # kappa = min ||Ax|| / ||x||, so every sampled ratio bounds it from above;
+    # s comes from the adjoint's own inverse in the dual norm and must agree
     for norm in ("one", "sup"):
-        for k in range(3):
+        for _ in range(3):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 5 * np.eye(4)
-            est = brute_force_modulus(a, norm, 20_000, seed=10 + k)
-            s_true = 1.0 / induced_matrix_norm(np.linalg.inv(a), norm)
-            assert est.s >= s_true - 1e-9
-            assert est.s == pytest.approx(s_true, rel=0.05)
+            est = truncation_modulus(a, norm)
+            x = rng.normal(size=(4, 1000)) + 1j * rng.normal(size=(4, 1000))
+            if norm == "one":
+                ratios = np.abs(a @ x).sum(axis=0) / np.abs(x).sum(axis=0)
+            else:
+                ratios = np.abs(a @ x).max(axis=0) / np.abs(x).max(axis=0)
+            assert est.kappa <= ratios.min()
+            assert est.s == pytest.approx(est.kappa, rel=1e-12)
+            assert not est.degenerate
 
 
-def test_seed_reproducibility():
-    a = np.diag([1.0, 2.0]).astype(complex)
-    e1 = brute_force_modulus(a, "one", 10_000, seed=7)
-    e2 = brute_force_modulus(a, "one", 10_000, seed=7)
-    assert e1.kappa == e2.kappa and e1.s == e2.s
-
-
-def test_dimension_and_sample_guards():
-    with pytest.raises(ValueError):
-        brute_force_modulus(np.eye(13, dtype=complex), "one", 10_000)
-    with pytest.raises(ValueError):
-        brute_force_modulus(np.eye(3, dtype=complex), "one", 100)
-    with pytest.raises(ValueError):
-        brute_force_modulus(np.eye(3, dtype=complex), "two", 10_000)
+def test_input_guards():
+    with pytest.raises(ValueError, match="square"):
+        truncation_modulus(np.ones((3, 2), dtype=complex), "one")
+    with pytest.raises(ValueError, match="unknown norm"):
+        truncation_modulus(np.eye(3, dtype=complex), "two")
 
 
 def test_compressed_truncation_matches_kappa(rng):
@@ -242,7 +262,5 @@ def test_compressed_truncation_matches_kappa(rng):
     for _ in range(5):
         w = WeightSequence.periodic(rng.uniform(0.6, 3.0, int(rng.integers(1, 4))))
         n = int(rng.integers(1, 4))
-        est = brute_force_modulus(
-            compressed_forward_power_matrix(w, 8, n), "one", 10_000, seed=11
-        )
-        assert est.kappa == pytest.approx(kappa_forward_power(w, n), rel=0.05)
+        est = truncation_modulus(compressed_forward_power_matrix(w, 8, n), "one")
+        assert est.kappa == pytest.approx(kappa_forward_power(w, n), rel=1e-12)

@@ -138,18 +138,19 @@ def test_traced_solve_poly_records_one_span_per_factor(coeffs, spans):
 
 # -- the lazy package -----------------------------------------------------------
 
-# what `from shiftspec import *` gave when __init__ imported every layer
+# what `from shiftspec import *` gives: the same names with the lazy package as when
+# __init__ imported every layer
 _STAR_NAMES = {
     "Annulus", "Budget", "CertifiedBound", "ConstantTail", "JCLASS", "MixingWitness",
     "NOT_JCLASS", "OperatorSpec", "PeriodicTail", "Polynomial", "Series", "SpectralPicture",
     "SpectralProfile", "TruncatedVector", "TwoValueDoublingBlocks", "VERDICT_UNDECIDED",
-    "Verdict", "WeightSequence", "apply_operator", "brute_force_modulus", "budget",
-    "covers_closed_unit_disk", "cross_check", "decide", "decide_geometric", "decide_moduli",
-    "decide_unweighted", "dynamics", "eigenvector", "holo", "i_of_adjoint", "identity_map",
-    "jclass", "jset_experiment", "kappa_forward_power", "kernel_nontrivial",
-    "min_modulus_on_annulus", "mixing_witness", "perturbation_stability", "preimage_power",
-    "solve_poly", "span_approximate", "spectra", "spectral_picture", "spectral_profile",
-    "weights", "winding_number", "window_product",
+    "Verdict", "WeightSequence", "apply_operator", "budget", "covers_closed_unit_disk",
+    "cross_check", "decide", "decide_geometric", "decide_moduli", "decide_unweighted",
+    "dynamics", "eigenvector", "holo", "i_of_adjoint", "identity_map", "jclass",
+    "jset_experiment", "kappa_forward_power", "kernel_nontrivial", "min_modulus_on_annulus",
+    "mixing_witness", "perturbation_stability", "preimage_power", "solve_poly",
+    "span_approximate", "spectra", "spectral_picture", "spectral_profile",
+    "truncation_modulus", "weights", "winding_number", "window_product",
 }
 
 
