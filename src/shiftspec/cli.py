@@ -195,8 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = (
         ("--budget-grid", "grid_max", int, "max condition-A evaluations; only each circle's "
          "128-point first pass and its at most 3 Newton steps can exceed it"),
-        ("--budget-winding", "winding_max", int, "max contour samples; the first grid "
-         "has at most 256"),
+        ("--budget-winding", "winding_max", int, "max samples of a sampled winding (a "
+         "winding read from root disks takes none); the first grid has at most 256"),
     )
     solve = (("--trunc-n", "truncation_n", int, "truncation length"),
              ("--tol", "tol", float, "solve residual tolerance"))

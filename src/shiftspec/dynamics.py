@@ -306,7 +306,7 @@ def solve_factor_outer(
 
 
 def _solver(op: OperatorSpec, tol: float):
-    """Route the map's roots once, by the root disks of the polish; returns
+    """Route the map's roots once, by the disks of its root placement; returns
     y -> x with f(shift) x = y, its ``routed`` attribute the pair (outer
     roots, inner roots) in the order it solves them."""
     if not isinstance(op.map, Polynomial):
@@ -314,10 +314,8 @@ def _solver(op: OperatorSpec, tol: float):
     f = op.map
     if f.degree < 1:
         raise ValueError("map must have degree >= 1 to be solved")
-    prof = spectral_profile(op.weights)
-    roots, radii = f.roots(radii=True)
-    inner = [z for z, rho in zip(roots, radii) if abs(z) + rho < prof.r2]
-    outer = [z for z, rho in zip(roots, radii) if abs(z) - rho > prof.r1]
+    prof, place = spectral_profile(op.weights), f.placement
+    roots, inner, outer = place.roots, place.within(prof.r2), place.beyond(prof.r1)
     stuck = [z for z in roots if z not in inner and z not in outer]
     if stuck:
         raise RootInAnnulusError(f"roots {stuck} lie in or near the annulus [{prof.r2}, {prof.r1}]")

@@ -8,12 +8,22 @@ downstream:
   * a lower bound for min |f| over a centered annulus, via a 1-D
     branch-and-bound over arcs of its two boundary circles, each arc
     certified with a second-order (tangent segment plus curvature) bound;
-    the minimum modulus principle carries it to the whole annulus once the
-    windings about 0 rule out a zero;
+    the minimum modulus principle carries it to the whole annulus once
+    nothing leaves a zero there: a complete root placement with no disk on
+    the annulus, or equal windings about 0 on both circles;
   * the winding number of the curve f(r e^{i\theta}) around a target, via
     argument increments on a doubling sample grid (each doubling evaluates
     only the new angles), declared valid once all increments are below pi/2
     and the curve provably stays away from the target between samples.
+
+A polynomial keeps one root placement (``Polynomial.placement``): its
+polished roots with inclusion disks, and whether the disks are disjoint
+enough to hold one root each.  Condition A reads it for a root inside the
+annulus and, by the argument principle, condition B's winding about 0 on
+the inner circle, which is then the number of disks inside it; the kernel
+test and the factor solver read the same placement, so a map is polished
+once.  Series maps, and polynomials whose placement cannot settle a
+circle, take the sampled windings.
 
 Everything is deterministic: no randomness, order-independent reductions.
 """
@@ -22,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +42,7 @@ __all__ = [
     "Polynomial",
     "Series",
     "HoloMap",
+    "RootPlacement",
     "Annulus",
     "CertifiedBound",
     "WindingResult",
@@ -72,12 +84,16 @@ def _horner(coeffs: tuple[complex, ...], z, derivative: bool = False):
     if not isinstance(z, (complex, float, int)):
         z = np.asarray(z)
         if z.ndim:
-            out = np.full(z.shape, coeffs[-1])
+            # every step in place: the same products and sums as out * z + a
+            out = np.empty(z.shape, complex)
+            out.fill(coeffs[-1])
             der = np.zeros(z.shape, complex) if derivative else None
             for a in coeffs[-2::-1]:
                 if derivative:
-                    der = der * z + out
-                out = out * z + a
+                    der *= z
+                    der += out
+                out *= z
+                out += a
             return (out, der) if derivative else out
     f0, f1, _ = _horner_scalar(coeffs, complex(z))
     return (f0, f1) if derivative else f0
@@ -158,17 +174,20 @@ def _root_seeds(coeffs: tuple[complex, ...]) -> list[complex]:
     numpy's quotient -a_0 / a_1 for degree 1 (bit for bit the eigenvalue of
     ``np.roots``' 1 x 1 companion matrix), ``_quadratic_roots`` for degree 2
     and, from degree 3, the eigenvalues of the companion matrix built exactly
-    as ``np.roots`` builds it."""
+    as ``np.roots`` builds it.  A quotient past the float range is inf or
+    NaN, with no numpy warning: the polish then fails, or leaves a NaN root."""
     degree = len(coeffs) - 1
     if degree == 0:
         return []
     if degree == 1:
-        return [complex(np.complex128(-coeffs[0]) / coeffs[1])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [complex(np.complex128(-coeffs[0]) / coeffs[1])]
     if degree == 2:
         return _quadratic_roots(*coeffs)
     p = np.array(coeffs[::-1])
     companion = np.diag(np.ones(degree - 1, complex), -1)
-    companion[0, :] = -p[1:] / p[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        companion[0, :] = -p[1:] / p[0]
     return np.linalg.eigvals(companion).tolist()
 
 
@@ -187,15 +206,68 @@ def _root_radius(coeffs: tuple[complex, ...], z: complex, fz: complex, dz: compl
     return min(rho, degree * res / slope) if slope > 0 else rho
 
 
+@dataclass(frozen=True)
+class RootPlacement:
+    """Where the roots of a polynomial lie: a root of f lies within
+    ``radii[i]`` of ``roots[i]`` (``Polynomial.roots(radii=True)``).  The
+    last ``zeros`` roots are f's exact zero roots, counted from the
+    coefficients, with radius 0.
+    """
+
+    roots: tuple[complex, ...]
+    radii: tuple[float, ...]
+    zeros: int
+
+    @cached_property
+    def complete(self) -> bool:
+        """Whether the disks of the nonzero roots are pairwise disjoint and
+        miss 0 (NaN fails every test).  Then each disk holds exactly one
+        root, counted with multiplicity: the disjoint disks each hold at
+        least one of the as many nonzero roots of f."""
+        nonzero = len(self.roots) - self.zeros
+        roots, radii = self.roots[:nonzero], self.radii[:nonzero]
+        for i, (a, ra) in enumerate(zip(roots, radii)):
+            if not abs(a) > ra:
+                return False
+            for b, rb in zip(roots[:i], radii[:i]):
+                if not abs(a - b) > ra + rb:
+                    return False
+        return True
+
+    def within(self, radius: float) -> list[complex]:
+        """The roots whose disk lies in the open disk |z| < radius."""
+        return [z for z, rho in zip(self.roots, self.radii) if abs(z) + rho < radius]
+
+    def beyond(self, radius: float) -> list[complex]:
+        """The roots whose disk lies outside the closed disk |z| <= radius."""
+        return [z for z, rho in zip(self.roots, self.radii) if abs(z) - rho > radius]
+
+    def zero_in(self, ann: Annulus) -> tuple[complex, float] | None:
+        """(root, radius) of a disk inside the open annulus, which holds a
+        zero of f, or None."""
+        return next(((z, rho) for z, rho in zip(self.roots, self.radii)
+                     if abs(z) - rho > ann.inner and abs(z) + rho < ann.outer), None)
+
+    def count_within(self, ann: Annulus) -> int | None:
+        """The number of roots of f inside the inner circle when the
+        placement is complete and no disk meets the closed annulus, else
+        None.  By the argument principle it is f's winding about 0 there."""
+        inside = len(self.within(ann.inner))
+        whole = self.complete and inside + len(self.beyond(ann.outer)) == len(self.roots)
+        return inside if whole else None
+
+
 class HoloMap:
     """A map f = sum a_n z^n given by its stored coefficients ``coeffs``.
 
     Every error bound is the stored coefficients' part plus the neglected
     tail's part, which ``_tails`` gives; a polynomial has no tail and an
-    infinite validity radius.
+    infinite validity radius.  Only a polynomial has a ``placement`` of its
+    roots; a series map has None.
     """
 
     validity_radius = math.inf
+    placement = None
 
     def monomial_form(self) -> tuple[complex, int] | None:
         return None
@@ -296,6 +368,28 @@ class Polynomial(HoloMap):
             )
         roots += [0j] * zeros
         return (roots, disks + [0.0] * zeros) if radii else roots
+
+    @property
+    def placement(self) -> RootPlacement:
+        """The polished roots with their disks, computed on first use and
+        kept on the map, so condition A, condition B, the kernel and the
+        solver share one polish.  A polish that fails raises its error
+        (``RootRefinementError``; numpy's ``LinAlgError`` for a companion
+        matrix past the float range) again on every use."""
+        placed = self.__dict__.get("_placement")
+        if placed is None:
+            try:
+                roots, radii = self.roots(radii=True)
+                zeros = 0  # exact zero roots, listed last
+                while not self.coeffs[zeros]:
+                    zeros += 1
+                placed = RootPlacement(tuple(roots), tuple(radii), zeros)
+            except (ValueError, ArithmeticError) as exc:
+                placed = exc
+            self.__dict__["_placement"] = placed
+        if isinstance(placed, Exception):
+            raise type(placed)(*placed.args)
+        return placed
 
     def to_dict(self) -> dict:
         return {"kind": "poly", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -410,8 +504,12 @@ class CertifiedBound(Report):
     and never lies below ``lower_bound``.  ``grid_step`` is the effective
     step: the reconstruction inequality lower_bound <= min_sampled -
     lipschitz_bound * grid_step * sqrt(2)/2 holds by construction.
-    ``inner_winding`` keeps (radius, winding about 0) of a true annulus's
-    inner circle for condition B; it is no part of the value or the JSON.
+    ``inner_winding`` keeps (radius, winding about 0) of the inner circle
+    for condition B when it was taken or read from the root placement; it
+    is no part of the value or the JSON.  ``root_radius`` is set when a root
+    disk inside the open annulus witnesses the violation: a zero of f lies
+    within it of ``witness_point``, and ``min_sampled`` and ``lower_bound``
+    are 0.  The verdict's notes carry it, not the JSON of the bound.
     """
 
     lower_bound: float
@@ -422,6 +520,7 @@ class CertifiedBound(Report):
     min_sampled: float
     threshold: float = _THRESHOLD
     inner_winding: tuple[float, WindingResult] | None = field(default=None, compare=False, repr=False)
+    root_radius: float | None = field(default=None, repr=False)
 
     @property
     def width(self) -> float:
@@ -496,6 +595,13 @@ class _CircleScan:
         self.f, self.grid_max = f, grid_max
         self.tail_err = f.eval_error(ann.outer) + f.eval_round_error(ann.outer)
         self.evals, self.best_val, self.best_pt = 0, math.inf, complex(ann.outer)
+        self._scratch = np.empty((3, _PASS_POINTS))
+
+    def _buffers(self, m: int) -> np.ndarray:
+        """Three real buffers of m points for one pass, grown as passes grow."""
+        if self._scratch.shape[1] < m:
+            self._scratch = np.empty((3, m))
+        return self._scratch[:, :m]
 
     @property
     def violation(self) -> bool:
@@ -520,29 +626,43 @@ class _CircleScan:
         while True:
             h, err = spread(n)
             val, der = f.eval(z, True)
-            mod = np.abs(val)
+            mod, speed, work = self._buffers(len(z))
+            np.abs(val, out=mod)
             self.evals += len(mod)
             i = int(mod.argmin())
             if mod[i] != mod[i]:  # argmin stops at a NaN, which is no sample
                 i = int(np.nan_to_num(mod, nan=math.inf).argmin())
-            if mod[i] < here[0]:
-                here = (float(mod[i]), (int(arcs[i]) + 0.5) * (2.0 * math.pi / n))
-                self._sample(here[0], complex(z[i]))
+            least = float(mod[i])
+            if least < here[0]:
+                here = (least, (int(arcs[i]) + 0.5) * (2.0 * math.pi / n))
+                self._sample(least, complex(z[i]))
             # distance from 0 to val + i x t, |t| <= h, x = z f'(z), in the
             # frame turning i x onto the real axis; no modulus is squared,
-            # so |f| up to the float range is safe
-            x = z * der
-            speed = np.abs(x)
-            v = val * (np.conj(x) / np.maximum(speed, 1e-300))
-            dist = np.hypot(np.maximum(np.abs(v.imag) - speed * h, 0.0), v.real)
-            floors = np.fmax(mod - (lip * r * h + self.tail_err),
-                             dist - (err + self.tail_err))
+            # so |f| up to the float range is safe.  In place, each step is
+            # the ufunc of v = val * (conj(x) / max(|x|, 1e-300)), dist =
+            # hypot(max(|v.imag| - |x| h, 0), v.real) and floors = fmax(mod -
+            # (lip r h + tail), dist - (err + tail)) on the same operands
+            x = np.multiply(z, der, out=der)
+            np.abs(x, out=speed)
+            np.maximum(speed, 1e-300, out=work)
+            np.conjugate(x, out=x)
+            x /= work
+            v = np.multiply(val, x, out=val)
+            np.abs(v.imag, out=work)
+            speed *= h
+            work -= speed
+            np.maximum(work, 0.0, out=work)
+            dist = np.hypot(work, v.real, out=work)
+            dist -= err + self.tail_err
+            floors = np.subtract(mod, lip * r * h + self.tail_err, out=mod)
+            np.fmax(floors, dist, out=floors)
             if self.violation:
                 return _fold_min(retired, floors, True)
-            keep = ~(floors > max(_THRESHOLD, self.best_val - _WIDTH_TARGET))
+            done = floors > max(_THRESHOLD, self.best_val - _WIDTH_TARGET)
+            keep = ~done  # a NaN floor stays open
             kept = arcs[keep]
             if len(kept) < len(arcs):
-                retired = _fold_min(retired, floors, ~keep)
+                retired = _fold_min(retired, floors, done)
             if not len(kept):
                 break
             if err <= self.tail_err or last or self.evals + 2 * len(kept) > self.grid_max:
@@ -554,7 +674,11 @@ class _CircleScan:
             room = (self.grid_max - self.evals) // len(kept)  # sub-arcs per arc within grid_max
             last, k = room < 1 << k, min(k, room.bit_length() - 1)
             arcs, n = ((kept << k)[:, None] + np.arange(1 << k)).ravel(), n << k
-            z = r * np.exp(1j * ((arcs + 0.5) * (2.0 * math.pi / n)))
+            t = arcs + 0.5
+            t *= 2.0 * math.pi / n
+            z = np.multiply(t, 1j)  # r exp(i t), as r * np.exp(1j * t) gives it
+            np.exp(z, out=z)
+            z *= r
         self._polish(r, here)
         return retired
 
@@ -585,10 +709,26 @@ class _CircleScan:
             self._sample(val, z)
 
 
-def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
+def _read_placement(f: HoloMap, ann: Annulus):
+    """(zero_in, count_within) of f's complete root placement on the
+    annulus, or None: for a series map, an inner radius 0, an incomplete
+    placement, a failed polish or a root whose modulus leaves the float
+    range, the sampled windings decide."""
+    if ann.inner <= 0:
+        return None
+    try:
+        place = f.placement
+        if place is None or not place.complete:
+            return None
+        return place.zero_in(ann), place.count_within(ann)
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float, outer: float,
                    budget: Budget) -> tuple[float, tuple[float, WindingResult] | None]:
-    """Lower bound for min |f| on inner < outer, given the inner circle's,
-    and (inner radius, winding about 0 there) if that winding was taken.
+    """Lower bound for min |f| on inner < outer from the sampled windings,
+    given both circles' floors, and (inner radius, winding about 0 there).
 
     If f has no zero in the annulus, which holds exactly when the windings
     about 0 on both circles are valid and equal (argument principle), the
@@ -597,9 +737,6 @@ def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float,
     the annulus is halved toward it, the winding at the midpoint picking
     the half, until a circle samples |f| <= threshold or grid_max runs out.
     """
-    outer = math.inf if scan.violation else scan.floor(ann.outer)
-    if scan.violation:
-        return 0.0, None
     w_lo, w_hi = (winding_number(f, r, 0j, budget) for r in (ann.inner, ann.outer))
     valid = w_lo.valid and w_hi.valid
     if valid and w_lo.winding == w_hi.winding:
@@ -624,10 +761,17 @@ def min_modulus_on_annulus(
     """Certified lower bound L for min |f| on the annulus (true min >= L).
 
     Monomials a z^d get the exact closed form |a| inner^d.  Other maps are
-    scanned on the boundary circles only (``_CircleScan``, ``_annulus_floor``)
-    with a second-order bound per arc, so the evaluations needed grow only
+    scanned on the boundary circles only (``_CircleScan``) with a
+    second-order bound per arc, so the evaluations needed grow only
     logarithmically as min |f| approaches the J-class threshold 1.  A sample
-    with |f| <= 1 is a violation witness; the result is UNDECIDED when
+    with |f| <= 1 is a violation witness.  Once both scans pass without
+    one, a polynomial with inner radius > 0 reads its complete root
+    placement: a disk inside the open annulus holds a zero, the witness; if
+    no disk meets the closed annulus, f has no zero there, the smaller
+    circle floor holds on the whole annulus, and the disks inside the inner
+    circle count the winding about 0 on it, kept with no samples and the
+    inner floor as its distance.  Otherwise the sampled windings decide
+    (``_annulus_floor``).  The result is UNDECIDED when
     the threshold question is still open once the sample budget runs out
     or the arcs near the minimum reach rounding resolution, which is what
     an instance exactly at the threshold gets.  A map whose rounding
@@ -650,9 +794,21 @@ def min_modulus_on_annulus(
 
     lip_outer = f.lipschitz_bound(ann.outer)
     scan = _CircleScan(f, ann, budget.grid_max)
-    lower, inner_winding = max(0.0, scan.floor(ann.inner)), None
-    if ann.inner < ann.outer:
-        lower, inner_winding = _annulus_floor(f, ann, scan, lower, budget)
+    inner = max(0.0, scan.floor(ann.inner))
+    circle = ann.inner == ann.outer
+    outer = inner if circle or scan.violation else scan.floor(ann.outer)
+    zero, count = (None if scan.violation else _read_placement(f, ann)) or (None, None)
+    if zero is not None:
+        return CertifiedBound(0.0, zero[0], grid_step=0.0, lipschitz_bound=lip_outer,
+                              status=CERTIFIED, min_sampled=0.0, root_radius=zero[1])
+    lower, inner_winding = inner, None
+    if count is not None:
+        lower = max(0.0, min(inner, outer))
+        inner_winding = (ann.inner, WindingResult(count, True, 0, inner))
+    elif scan.violation:
+        lower = inner if circle else 0.0
+    elif not circle:
+        lower, inner_winding = _annulus_floor(f, ann, scan, inner, outer, budget)
     lower = min(lower, scan.best_val)  # polished samples may undercut a floor by rounding
     width = scan.best_val - lower
     return CertifiedBound(

@@ -9,14 +9,18 @@ independent decision routes are implemented:
   * the geometric route certifies A with a lower bound for min |f| on the
     annulus, taken on its two boundary circles, and B with a single winding
     number around 0 (sound because under A the image curve misses the
-    closed unit disk, so the preimage count is constant across it);
+    closed unit disk, so the preimage count is constant across it).  For a
+    polynomial whose root disks are disjoint and clear the annulus, that
+    winding is the number of disks inside r2, read with no sample, and a
+    disk inside the annulus refutes A with its root as the witness;
   * the moduli route checks that the certified annulus minimum (the
     asymptotic injectivity modulus of the adjoint side) exceeds 1 and that
     the map has a root inside the eigenvalue disk of radius r3, which
     exhibits an eigenvector for the eigenvalue 0.
 
 Both routes start from the same condition-A certificate, so
-``cross_check`` certifies it once per operator and hands it to both.
+``cross_check`` certifies it once per operator and hands it to both; the
+root placement is kept on the map, so both routes polish its roots once.
 Certified verdicts from the two routes can never contradict each other;
 near thresholds both abstain (UNDECIDED) rather than encode sampling noise.
 """
@@ -99,6 +103,14 @@ def _verdicts(route: str, prof: SpectralProfile, cert_a: CertifiedBound):
     return partial(Verdict, route=route, margin=0.0, profile=prof, condition_a=cert_a)
 
 
+def _violation_notes(cert_a: CertifiedBound, notes: str) -> str:
+    """``notes`` for a condition-A violation, naming the root disk that
+    witnesses it when no sample did."""
+    if cert_a.root_radius is None:
+        return notes
+    return f"{notes}: zero of f within {cert_a.root_radius!r} of witnessPoint"
+
+
 def _require_polynomial(op: OperatorSpec) -> None:
     if not isinstance(op.map, Polynomial):
         raise UnsupportedMapError("the moduli route needs a polynomial map")
@@ -112,7 +124,7 @@ def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
     verdict = _verdicts(route, prof, cert_a)
     if cert_a.certifies_violation:
         return verdict(NOT_JCLASS, margin=max(0.0, 1.0 - cert_a.min_sampled),
-                       notes="annulus image meets the closed unit disk")
+                       notes=_violation_notes(cert_a, "annulus image meets the closed unit disk"))
 
     if cert_a.certifies_above:
         cover = covers_closed_unit_disk(op.map, prof.r2, cert_a, budget)
@@ -141,7 +153,7 @@ def _moduli(op: OperatorSpec, prof: SpectralProfile, cert_a: CertifiedBound) -> 
     verdict = _verdicts(MODULI, prof, cert_a)
     if cert_a.certifies_violation:
         return verdict(NOT_JCLASS, margin=max(0.0, 1.0 - cert_a.min_sampled),
-                       notes="adjoint modulus not above 1")
+                       notes=_violation_notes(cert_a, "adjoint modulus not above 1"))
 
     ker = kernel_nontrivial(op)
     if ker.status == KERNEL_FALSE:

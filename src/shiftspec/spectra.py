@@ -156,12 +156,15 @@ class KernelReport:
     """Three-valued answer to whether 0 is an eigenvalue of the image operator.
 
     The factors B_w - z of f(B_w) commute, so ker f(B_w) != {0} exactly
-    when some root z of f is an eigenvalue of B_w.  TRUE comes with a root
-    inside the open disk of radius r3, all of whose points are eigenvalues,
-    and the recipe for the corresponding eigenvector.  FALSE is certified:
-    every root lies strictly outside the closed disk of radius r1, so no
-    root is even in the spectrum of B_w.  INCONCLUSIVE only means that this
-    is unsettled for a root with r3 <= |z| <= r1 (up to the margin).
+    when some root z of f is an eigenvalue of B_w.  Roots are read from the
+    map's root placement (``Polynomial.placement``).  TRUE comes with a
+    root whose disk lies inside the open disk of radius r3, all of whose
+    points are eigenvalues, and the recipe for the corresponding
+    eigenvector.  FALSE is certified: the placement is complete and every
+    disk lies strictly outside the closed disk of radius r1, so no root is
+    even in the spectrum of B_w.  INCONCLUSIVE means that neither holds: a
+    disk meets the circles r3 or r1 or lies between them, or overlapping
+    disks leave a root unplaced.
     """
 
     status: str
@@ -189,9 +192,8 @@ def kernel_nontrivial(op: OperatorSpec) -> KernelReport:
                 KERNEL_TRUE, 0j, {"kind": "basis", "index": 1}, "zero map"
             )
         return KernelReport(KERNEL_FALSE, note="nonzero constant map")
-    roots = f.roots()
-    margin = 1e-8 * max(1.0, prof.r1)
-    inner = [z for z in roots if abs(z) < prof.r3 - margin]
+    place = f.placement
+    inner = place.within(prof.r3)
     if inner:
         z = min(inner, key=abs)
         if z == 0:  # an exact zero root (roots() lists it as 0j): B_w e_1 = 0
@@ -199,11 +201,11 @@ def kernel_nontrivial(op: OperatorSpec) -> KernelReport:
         else:
             recipe = {"kind": "eigenvector", "lambda": [z.real, z.imag]}
         return KernelReport(KERNEL_TRUE, z, recipe, "root inside eigenvalue disk")
-    if all(abs(z) > prof.r1 + margin for z in roots):
+    if place.complete and len(place.beyond(prof.r1)) == len(place.roots):
         return KernelReport(
             KERNEL_FALSE, note="all roots outside the closed spectral disk"
         )
-    z = min(roots, key=lambda t: abs(t))
+    z = min(place.roots, key=abs)
     return KernelReport(
         KERNEL_INCONCLUSIVE,
         z,

@@ -21,6 +21,7 @@ from shiftspec.cli import (
     load_instance,
     main,
 )
+from shiftspec.holo import Polynomial, winding_number
 
 
 def write_instance(path, weights, map_, budgets=None):
@@ -129,7 +130,13 @@ def test_decide_byte_identical(tmp_path, capsys):
 def test_decide_winding_past_product_range(tmp_path, capsys):
     # |f| >= 3e160 on the circle |z| = 2: the product of two raw samples
     # would overflow, the product of their unit directions does not
-    path = const_instance(tmp_path / "i.json", 2.0, [[1e160, 0], [0, 0], [1e160, 0]])
+    coeffs = [[1e160, 0], [0, 0], [1e160, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wind = winding_number(Polynomial((1e160, 0, 1e160)), 2.0, 0j)
+    assert (wind.winding, wind.valid, wind.samples) == (2, True, 256)
+    # the CLI reads that winding from the root disks of +-i, with no sample
+    path = const_instance(tmp_path / "i.json", 2.0, coeffs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["decide", path, "--route", "both"]) == EXIT_JCLASS
@@ -138,7 +145,7 @@ def test_decide_winding_past_product_range(tmp_path, capsys):
     out = json.loads(captured.out)
     assert out["decision"] == "JCLASS"
     wind = out["conditionB"]["winding"]
-    assert (wind["winding"], wind["valid"], wind["samples"]) == (2, True, 256)
+    assert (wind["winding"], wind["valid"], wind["samples"]) == (2, True, 0)
 
 
 @pytest.mark.parametrize("argv", [

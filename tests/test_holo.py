@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import conftest
+import shiftspec.holo
 from conftest import random_poly
 from shiftspec.budget import Budget
 from shiftspec.holo import (
@@ -249,6 +250,25 @@ def test_scalar_eval_bit_identical_to_0d_eval():
             assert np.array(val).tobytes() == ref.tobytes()
 
 
+def test_array_eval_in_place_matches_the_recurrence():
+    # the array path runs each Horner step in place; every bit is the one
+    # that out * z + a and der * z + out give with fresh arrays
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        deg = int(rng.integers(0, 9))
+        coeffs = tuple(complex(c) for c in rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        z = rng.normal(size=int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-3, 3)
+        if rng.integers(2):
+            z = z * np.exp(2j * math.pi * rng.uniform(size=len(z)))
+        out, der = np.full(z.shape, coeffs[-1]), np.zeros(z.shape, complex)
+        for a in coeffs[-2::-1]:
+            der = der * z + out
+            out = out * z + a
+        val, dval = P(*coeffs).eval(z, True)
+        assert val.tobytes() == out.tobytes() and dval.tobytes() == der.tobytes()
+        assert P(*coeffs).eval(z).tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("n", [64, 128, 256])
 def test_circle_table_matches_fresh_grids(n):
     # the circle scan's first arc centres and the winding grids read the
@@ -480,6 +500,46 @@ def test_covers_examples():
     cert = min_modulus_on_annulus(P(1, 0, 1), Annulus(2, 2))
     res = covers_closed_unit_disk(P(1, 0, 1), 2.0, cert)
     assert res.covers is True and res.winding.winding == 2  # roots +-i inside
+
+
+def test_condition_b_winding_read_from_root_disks(monkeypatch):
+    # a complete placement with no disk on the annulus gives condition B's
+    # winding about 0 with no sample: the disks inside the inner circle,
+    # at the inner circle's certified floor; a series map samples it
+    calls = []
+    monkeypatch.setattr(shiftspec.holo, "winding_number",
+                        lambda *a, **k: calls.append(a) or winding_number(*a, **k))
+    for ann in (Annulus(2, 2), Annulus(2, 3)):
+        cert = min_modulus_on_annulus(P(1, 0, 1), ann)
+        wr = covers_closed_unit_disk(P(1, 0, 1), 2.0, cert).winding
+        assert (wr.winding, wr.valid, wr.samples) == (2, True, 0)
+        assert wr.min_distance >= cert.lower_bound > 1.0
+    assert calls == []
+    s = Series((1, 0, 1), tail_bound=0.0, tail_ratio=0.1, validity_radius=5.0)
+    cert = min_modulus_on_annulus(s, Annulus(2, 2))
+    assert covers_closed_unit_disk(s, 2.0, cert).winding == winding_number(s, 2.0, 0j)
+    assert len(calls) == 1
+
+
+def test_placement_is_kept_on_the_map(monkeypatch):
+    # one polish per map; disjoint disks that miss 0 make it complete, with
+    # exact zero roots counted apart, and a failed polish fails every time
+    polishes, roots = [], Polynomial.roots
+    monkeypatch.setattr(Polynomial, "roots", lambda f, *a, **k: polishes.append(f) or roots(f, *a, **k))
+    f = P(4.5, -9.5, 1)
+    assert f.placement is f.placement and len(polishes) == 1
+    assert f.placement.roots == (9 + 0j, 0.5 + 0j) and f.placement.complete
+    assert f.placement.within(1.0) == [0.5 + 0j] and f.placement.beyond(1.0) == [9 + 0j]
+    assert P(0, 0, 2, 1).placement.complete  # -2, and the double zero root
+    assert P(0, 0, 1).placement.complete  # z^2: exact zeros only
+    assert not P(0.25, -1, 1).placement.complete  # (z - 1/2)^2: the disks overlap
+    assert Series((0, 1), 0.1, 0.3, 3.0).placement is None
+    bad = P(1e10, 0, 0, 1e-300)  # its companion matrix leaves the float range
+    polishes.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bad.placement
+    assert len(polishes) == 1
 
 
 def test_covers_requires_certified_bound():

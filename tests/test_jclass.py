@@ -113,14 +113,24 @@ def test_zero_between_clear_circles_is_a_violation(f):
 
 def test_zero_between_circles_budget_runs_out():
     # same zero between the circles, plus a root at 0 so that coverage
-    # cannot refute; the budget stops before the halving finds a witness
-    f = P(0, -4.5, 3)
+    # cannot refute; on a series map (no root placement) the budget stops
+    # before the halving finds a witness
+    f = Series((0, -4.5, 3), tail_bound=0.0, tail_ratio=0.1, validity_radius=5.0)
     cert = i_of_adjoint(OperatorSpec(BLOCKS_2_1, f), Budget(grid_max=64))
     assert cert.status == UNDECIDED and cert.lower_bound == 0.0
     assert cert.min_sampled > 1.0
     v = decide_geometric(OperatorSpec(BLOCKS_2_1, f), Budget(grid_max=64))
     assert v.decision == VERDICT_UNDECIDED
     assert v.condition_a.lower_bound == 0.0
+    # the polynomial's root disk about 1.5 lies inside the open annulus:
+    # that zero is the witness, with no halving and within the same budget
+    v = decide_geometric(OperatorSpec(BLOCKS_2_1, P(*f.coeffs)), Budget(grid_max=64))
+    a = v.condition_a
+    assert v.decision == NOT_JCLASS and a.status == CERTIFIED
+    assert a.lower_bound == a.min_sampled == 0.0 and a.witness_point == pytest.approx(1.5)
+    assert 0.0 < a.root_radius < 1e-9
+    assert v.notes == ("annulus image meets the closed unit disk: zero of f within "
+                       f"{a.root_radius!r} of witnessPoint")
 
 
 def test_annulus_violation_right_below_threshold():
@@ -384,8 +394,11 @@ def test_cross_check_rejects_series_after_geometric_route(monkeypatch):
 def test_condition_b_reuses_inner_winding(monkeypatch, min_modulus, decision):
     # condition A on a true annulus takes the winding about 0 on |z| = r2;
     # condition B (coverage, or its refutation while A is open) reads it
-    # instead of sampling the same circle again
+    # instead of sampling the same circle again.  A series map samples both
+    # windings; a polynomial with a complete root placement samples none
     op = threshold_instance("1+z^2", "annulus", min_modulus)
+    series = OperatorSpec(op.weights, Series(op.map.coeffs, tail_bound=0.0, tail_ratio=0.1,
+                                             validity_radius=5.0))
     prof = spectral_profile(op.weights)
     radii = []
 
@@ -396,11 +409,20 @@ def test_condition_b_reuses_inner_winding(monkeypatch, min_modulus, decision):
     monkeypatch.setattr(shiftspec.holo, "winding_number", counting)
     # also counted if jclass ever calls it directly again
     monkeypatch.setattr(shiftspec.jclass, "winding_number", counting, raising=False)
-    v = decide_geometric(op)
+    v = decide_geometric(series)
     assert v.decision == decision
     assert radii == [prof.r2, prof.r1]
     if decision == JCLASS:
-        assert v.condition_b.winding == winding_number(op.map, prof.r2, 0j)
+        assert v.condition_b.winding == winding_number(series.map, prof.r2, 0j)
+    radii.clear()
+    v = decide_geometric(op)
+    assert v.decision == decision and radii == []
+    if decision == JCLASS:
+        # both roots +-i lie inside r2 = sqrt(2 + 1e-6): winding 2, no samples,
+        # at condition A's certified floor on the inner circle
+        wind = v.condition_b.winding
+        assert (wind.winding, wind.valid, wind.samples) == (2, True, 0)
+        assert wind.min_distance >= v.condition_a.lower_bound > 1.0
 
 
 def test_route_dispatcher():
@@ -587,14 +609,19 @@ def test_constant_maps_never_jclass():
 
 
 def test_winding_budget_exhaustion_propagates_undecided():
-    # high-degree map: the annulus bound certifies easily (|f| in
+    # high-degree series map: the annulus bound certifies easily (|f| in
     # [1.05, 1.95] on the circle) but the image curve winds so fast that
     # 256 contour samples cannot validate the argument increments
     coeffs = [1.5] + [0.0] * 111 + [0.45]
-    op = const_op(1.0, P(*coeffs))
+    op = const_op(1.0, Series(coeffs, tail_bound=0.0, tail_ratio=0.5, validity_radius=2.0))
     v = decide_geometric(op, Budget(winding_max=256))
     assert v.decision == VERDICT_UNDECIDED
     assert v.condition_a.certifies_above
     assert not v.condition_b.winding.valid
     # with the default contour budget the same instance resolves
     assert decide_geometric(op).decision == NOT_JCLASS
+    # the polynomial's 112 root disks all lie past r1 = 1 (|z| = 1.0108):
+    # winding 0 read from the placement, with no sample, at the small budget
+    v = decide_geometric(const_op(1.0, P(*coeffs)), Budget(winding_max=256))
+    assert v.decision == NOT_JCLASS
+    assert (v.condition_b.winding.winding, v.condition_b.winding.samples) == (0, 0)

@@ -39,12 +39,14 @@ from hypothesis import strategies as st
 from conftest import (inner_transient_instance, random_instance, random_poly, random_series, random_weights,
                       threshold_instance)
 import shiftspec.dynamics as dynamics
+import shiftspec.holo
 from shiftspec.budget import Budget
 from shiftspec.dynamics import TruncatedVector, apply_operator, mixing_witness
-from shiftspec.holo import (CERTIFIED, Annulus, Polynomial, RootRefinementError, min_modulus_on_annulus,
+from shiftspec.holo import (CERTIFIED, Annulus, Polynomial, RootRefinementError, Series, min_modulus_on_annulus,
                             winding_number)
+from shiftspec.jclass import decide_geometric
 from shiftspec.spectra import OperatorSpec, i_of_adjoint
-from shiftspec.weights import TwoValueDoublingBlocks, spectral_profile
+from shiftspec.weights import TwoValueDoublingBlocks, WeightSequence, spectral_profile
 
 mpmath = pytest.importorskip("mpmath")
 iv = mpmath.iv
@@ -366,6 +368,140 @@ def test_root_disks_hold_a_root():
             assert min(abs(mpmath.mpc(z.real, z.imag) - e) for e in exact) <= rho
         checked += 1
     assert checked >= 100
+
+
+# -- root placement --------------------------------------------------------------
+
+
+def _circles_between_roots(moduli) -> list:
+    """A circle below the smallest root modulus, one between each pair of
+    neighbouring moduli (at their geometric mean) and one past the largest."""
+    moduli = sorted(m for m in moduli if m > 0)
+    if not moduli:
+        return []
+    return ([0.5 * moduli[0]] + [math.sqrt(a * b) for a, b in zip(moduli, moduli[1:])]
+            + [2.0 * moduli[-1]])
+
+
+def test_complete_placement_counts_the_roots_inside_a_circle():
+    # wherever the placement is complete and no disk meets the circle |z| =
+    # r, the disks inside it count the roots inside it (mpmath at 50
+    # digits), which is the winding about 0 that a valid winding_number
+    # samples: on the root-disk draws (extreme scales, near-equal clusters)
+    # and on corpus-like draws (825 circles, 762 of them with a valid
+    # winding within 4096 samples)
+    rng = np.random.default_rng(2024)
+    draws = [_disk_polynomial(rng) for _ in range(120)] + [random_poly(rng) for _ in range(120)]
+    counted = sampled = 0
+    for f in draws:
+        try:
+            place = f.placement
+        except RootRefinementError:
+            continue
+        if not place.complete:
+            continue
+        exact = [float(abs(e)) for e in _exact_roots(f.coeffs)]
+        for r in _circles_between_roots(exact):
+            count = place.count_within(Annulus(r, r))
+            if count is None:
+                continue
+            assert count == sum(e < r for e in exact), (f.coeffs, r)
+            counted += 1
+            if math.isfinite(f.eval_round_error(r)):
+                wr = winding_number(f, r, 0j, Budget(winding_max=4096))
+                if wr.valid:
+                    assert wr.winding == count, (f.coeffs, r)
+                    sampled += 1
+    assert counted >= 800 and sampled >= 700
+
+
+def _series_twin(f: Polynomial) -> Series:
+    """The same map as a series with a zero tail: it has no root placement,
+    so it takes the sampled windings exactly as every map did before."""
+    return Series(f.coeffs, tail_bound=0.0, tail_ratio=0.1, validity_radius=9.0)
+
+
+# fallback cases: (map, weights), each with a reason the placement cannot
+# settle condition B, and each deciding exactly as its series twin
+FALLBACKS = {
+    # a double root at 2.5: the polished seeds' disks overlap
+    "double-root": (Polynomial((6.25, -5, 1)), WeightSequence.constant(2.0)),
+    # seed 2024, draw 103 of the root-disk draws: the polish fails
+    "unpolishable": (None, WeightSequence.doubling_blocks(2.0, 1.0)),
+    # a companion matrix past the float range: numpy's LinAlgError
+    "companion-overflow": (Polynomial((1e10, 0, 0, 1e-300)), WeightSequence.constant(2.0)),
+    # a root disk across the inner circle |z| = 2
+    "disk-on-circle": (Polynomial((-2, 1)), WeightSequence.doubling_blocks(3.0, 2.0)),
+    # subnormal coefficients: a polished root whose modulus leaves the float range
+    "modulus-overflow": (Polynomial((2.225073858507e-311 * (1 + 0.5j),) * 3), WeightSequence.constant(2.0)),
+}
+
+
+def _unpolishable() -> Polynomial:
+    rng = np.random.default_rng(2024)
+    for _ in range(104):
+        f = _disk_polynomial(rng)
+    return f
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_placement_fallbacks_decide_as_sampled_windings(case):
+    f, w = FALLBACKS[case]
+    f = f or _unpolishable()
+    if case in ("unpolishable", "companion-overflow"):
+        with pytest.raises(ValueError):
+            f.placement
+    elif case == "double-root":
+        assert not f.placement.complete
+    elif case == "modulus-overflow":
+        with pytest.raises(OverflowError):
+            f.placement.complete
+    op, twin = OperatorSpec(w, f), OperatorSpec(w, _series_twin(f))
+    v, t = i_of_adjoint(op), i_of_adjoint(twin)
+    assert v == t and v.inner_winding == t.inner_winding
+    assert decide_geometric(op).to_dict() == decide_geometric(twin).to_dict()
+
+
+def test_series_maps_and_zero_inner_radius_sample_their_windings():
+    # a series map has no placement; an annulus with inner radius 0 has no
+    # circle to count inside, so the polynomial scans as its series twin
+    s = Series((0.5, 0, 1.0), tail_bound=1e-12, tail_ratio=0.1, validity_radius=8.0)
+    assert s.placement is None
+    v = decide_geometric(OperatorSpec(WeightSequence.constant(1.5), s))
+    assert v.condition_b.winding.samples > 0
+    f = Polynomial((0.5, 0, 1.0))
+    ann = Annulus(0.0, 1.5)
+    assert min_modulus_on_annulus(f, ann) == min_modulus_on_annulus(_series_twin(f), ann)
+
+
+def test_root_disk_witness_holds_a_root_at_50_digits(monkeypatch):
+    # the fuzz instance of seed 0, index 12 (degree 9, r2 = 7.7e-4, r1 =
+    # 2.6e7): six of its nine root disks lie inside the open annulus, so a
+    # root is the violation witness, with no winding sampled.  At 50 digits
+    # the residual at the witness gives a radius within the program's, the
+    # disk lies inside the annulus, and an exact root lies in it.  The float
+    # |f| at the witness is about 6e30, all rounding: the root, not that
+    # sample, is the certificate
+    from test_cli import _extreme_instance
+
+    rng = np.random.default_rng(0)
+    for index in range(13):
+        doc = _extreme_instance(rng, (10, 30, 100)[index % 3])
+    op = OperatorSpec.from_dict(doc)
+    prof = op.profile()
+    calls, original = [], shiftspec.holo.winding_number
+    monkeypatch.setattr(shiftspec.holo, "winding_number",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    v = decide_geometric(op)
+    a = v.condition_a
+    assert v.decision == "NOT_JCLASS" and calls == []
+    assert a.status == CERTIFIED and a.min_sampled == a.lower_bound == 0.0
+    z, rho = a.witness_point, a.root_radius
+    assert prof.r2 < abs(z) - rho and abs(z) + rho < prof.r1
+    assert _root_radius(op.map.coeffs, z) <= rho
+    with mpmath.workdps(50):
+        zz = mpmath.mpc(z.real, z.imag)
+        assert min(abs(zz - e) for e in _exact_roots(op.map.coeffs)) <= rho
 
 
 # -- round-trip rounding allowance ----------------------------------------------

@@ -123,10 +123,16 @@ def test_json_value_converts_each_kind():
 
 
 def test_repr_false_fields_stay_out_of_the_json(reports):
-    # a true annulus (r2 = 1 < r1 = 2) keeps its inner circle's winding for condition B
-    cert = i_of_adjoint(OperatorSpec(WeightSequence.doubling_blocks(2.0, 1.0), Polynomial((3, 0, 1))))
+    # a true annulus (r2 = 1 < r1 = 2) keeps its inner circle's winding for
+    # condition B; the roots +-i sqrt(3) of 3 + z^2 lie inside it, so a root
+    # disk witnesses the violation and the bound keeps its radius
+    w = WeightSequence.doubling_blocks(2.0, 1.0)
+    cert = i_of_adjoint(OperatorSpec(w, Polynomial((0.1, 0, 3))))
     assert cert.inner_winding is not None
     assert "innerWinding" not in cert.to_dict()
+    cert = i_of_adjoint(OperatorSpec(w, Polynomial((3, 0, 1))))
+    assert cert.root_radius is not None
+    assert "rootRadius" not in cert.to_dict()
 
     @dataclass(frozen=True)
     class Example(Report):

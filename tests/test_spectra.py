@@ -174,10 +174,6 @@ def _near_circle_power(d, a):
     return P(*(math.comb(d, k) * (-a) ** (d - k) for k in range(d + 1)))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="kernel_nontrivial classifies roots by a fixed 1e-8 * "
-                   "max(1, r1) margin, not by the root disks of the polish that the solver "
-                   "routes by: 229 of these 366 claims are unsupported by the disks")
 def test_kernel_claims_are_supported_by_the_root_disks():
     # a root of multiplicity d within 2e-3 of the circle |z| = 2 = r1 = r3: a
     # TRUE needs a disk inside the open disk r3, a FALSE every disk outside r1
@@ -197,6 +193,18 @@ def test_kernel_claims_are_supported_by_the_root_disks():
             if not held:
                 unsupported.append((d, float(a), rep.status))
     assert unsupported == []
+
+
+def test_kernel_false_needs_a_complete_placement():
+    # roots 3 and 3.5 past r1 = 2 in disjoint disks: FALSE.  The double root
+    # of (z - 3)^2 polishes two seeds into overlapping disks, which cannot
+    # tell a double root from two seeds on one root beside an unplaced one:
+    # INCONCLUSIVE.  A disk inside r3 is TRUE either way
+    w = WeightSequence.constant(2.0)
+    assert kernel_nontrivial(OperatorSpec(w, P(10.5, -6.5, 1))).status == KERNEL_FALSE
+    rep = kernel_nontrivial(OperatorSpec(w, P(9, -6, 1)))
+    assert rep.status == KERNEL_INCONCLUSIVE and rep.root == 3
+    assert kernel_nontrivial(OperatorSpec(w, P(0.25, -1, 1))).status == KERNEL_TRUE
 
 
 # -- exact truncation moduli ---------------------------------------------
