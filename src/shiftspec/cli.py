@@ -194,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     grid = (
         ("--budget-grid", "grid_max", int, "max condition-A evaluations; only each circle's "
-         "128-point first pass and its at most 3 Newton steps can exceed it"),
+         "128-point first pass and its Newton steps (at most 3 to probe for a witness, "
+         "3 to polish) can exceed it"),
         ("--budget-winding", "winding_max", int, "max samples of a sampled winding (a "
          "winding read from root disks takes none); the first grid has at most 256"),
     )

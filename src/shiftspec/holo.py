@@ -10,7 +10,10 @@ downstream:
     certified with a second-order (tangent segment plus curvature) bound;
     the minimum modulus principle carries it to the whole annulus once
     nothing leaves a zero there: a complete root placement with no disk on
-    the annulus, or equal windings about 0 on both circles;
+    the annulus, or equal windings about 0 on both circles.  A placement
+    with every disk inside the inner circle carries the inner circle's
+    bound alone, by the maximum modulus theorem for z^d / f, so the outer
+    circle is not scanned;
   * the winding number of the curve f(r e^{i\theta}) around a target, via
     argument increments on a doubling sample grid (each doubling evaluates
     only the new angles), declared valid once all increments are below pi/2
@@ -126,6 +129,7 @@ def _coeff_curvature(coeffs: tuple[complex, ...], radius: float) -> float:
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = math.ldexp(1.0, -1074)  # the smallest subnormal
 # e^{i k 2 pi / 256}: [1::2] are the circle scan's first 128 arc centres and
 # [::256 // n] the n-point winding grid, bit for bit as np.exp gives them
 _CIRCLE = np.exp(1j * (np.arange(256) * (2.0 * math.pi / 256)))
@@ -135,15 +139,21 @@ def _round_error(coeffs: tuple[complex, ...], radius: float) -> float:
     """Allowance for float rounding in a Horner evaluation on |z| <= radius.
 
     Certified comparisons against a threshold must not rest on less
-    clearance than this, otherwise the verdict would encode noise.
+    clearance than this, otherwise the verdict would encode noise.  It is
+    4(n+2) (eps sum |a_k| r^k + tiny sum r^k) with tiny the smallest
+    subnormal: the second sum is the absolute (underflow) term of each
+    rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §2.1), without which a map with subnormal values gets no allowance.
     """
-    mag = 0.0
+    mag = powers = 0.0
     try:
         for n, c in enumerate(coeffs):
-            mag += abs(c) * radius**n
+            p = radius**n
+            mag += abs(c) * p
+            powers += p
     except OverflowError:  # radius**n past the float range: no allowance is finite
         return math.inf
-    return 4.0 * (len(coeffs) + 2) * _EPS * mag
+    return 4.0 * (len(coeffs) + 2) * (_EPS * mag + _TINY * powers)
 
 
 def _derivative_round_error(coeffs: tuple[complex, ...], radius: float) -> float:
@@ -583,12 +593,18 @@ class _CircleScan:
     even a halving fits, the open arcs retire as at resolution.  Until the
     budget cuts a pass, a larger grid_max makes the same passes, and its
     cut pass is never coarser (a cut pass that went on could end finer at
-    a smaller budget than at a larger one).  Only each circle's 128-point
-    first pass and its Newton steps (below) can take a scan past grid_max:
-    1 + z^2 at its exact threshold spends 131 evaluations on a circle and
-    262 on an annulus at grid_max 64.  Without a witness, at most
-    _POLISH_STEPS Newton steps on |g|^2 from the circle's smallest sample
-    sharpen the samples; they never move the bound.
+    a smaller budget than at a larger one).  Newton steps on |g|^2 run at
+    two points, at most _POLISH_STEPS each.  When the first pass leaves an
+    arc floored at or below the threshold but samples no witness, they probe
+    for one from that pass's smallest sample: a probe sample with |f| plus
+    the allowance at or below the threshold is the witness and ends the
+    circle, and any other probe sample is dropped, so a probe that finds
+    none changes no sample.  Without a witness at the end, they sharpen the
+    samples from the circle's smallest one; they never move the bound.
+    Only each circle's 128-point first pass and these steps can take a scan
+    past grid_max: 1 + z^2 at its exact threshold spends 134 evaluations on
+    a circle and 265 on an annulus at grid_max 64 (128 + 3 + 3 on the
+    inner circle; the outer one's first pass floors every arc above 1).
     """
 
     def __init__(self, f: HoloMap, ann: Annulus, grid_max: int):
@@ -656,6 +672,10 @@ class _CircleScan:
             dist -= err + self.tail_err
             floors = np.subtract(mod, lip * r * h + self.tail_err, out=mod)
             np.fmax(floors, dist, out=floors)
+            if n == _PASS_POINTS and not self.violation and floors.min() <= _THRESHOLD:
+                # the probe: Newton from the first pass's smallest sample,
+                # keeping only a witness
+                self._polish(r, here, witness_only=True)
             if self.violation:
                 return _fold_min(retired, floors, True)
             done = floors > max(_THRESHOLD, self.best_val - _WIDTH_TARGET)
@@ -686,9 +706,11 @@ class _CircleScan:
         if val < self.best_val:
             self.best_val, self.best_pt = val, z
 
-    def _polish(self, r: float, start: tuple[float, float]) -> None:
-        """Newton steps on |g(t)|^2 from (|g(t0)|, t0), kept while they lower
-        the samples.  Each step is t -= Re(g'/g) / (|g'/g|^2 + Re(g''/g))."""
+    def _polish(self, r: float, start: tuple[float, float], witness_only: bool = False) -> None:
+        """Newton steps on |g(t)|^2 from (|g(t0)|, t0), taken while they lower
+        |g| and kept as samples, or with ``witness_only`` only a sample that
+        witnesses |f| <= threshold.  Each step is t -= Re(g'/g) / (|g'/g|^2 +
+        Re(g''/g))."""
         val, t = start
         z = r * cmath.exp(1j * t)
         f0, f1, f2 = _horner_scalar(self.f.coeffs, z)
@@ -706,7 +728,8 @@ class _CircleScan:
             if not abs(f0) < val:
                 return
             val = abs(f0)
-            self._sample(val, z)
+            if not witness_only or val + self.tail_err <= _THRESHOLD:
+                self._sample(val, z)
 
 
 def _read_placement(f: HoloMap, ann: Annulus):
@@ -764,13 +787,20 @@ def min_modulus_on_annulus(
     scanned on the boundary circles only (``_CircleScan``) with a
     second-order bound per arc, so the evaluations needed grow only
     logarithmically as min |f| approaches the J-class threshold 1.  A sample
-    with |f| <= 1 is a violation witness.  Once both scans pass without
-    one, a polynomial with inner radius > 0 reads its complete root
-    placement: a disk inside the open annulus holds a zero, the witness; if
-    no disk meets the closed annulus, f has no zero there, the smaller
-    circle floor holds on the whole annulus, and the disks inside the inner
-    circle count the winding about 0 on it, kept with no samples and the
-    inner floor as its distance.  Otherwise the sampled windings decide
+    with |f| <= 1 is a violation witness.  When the inner circle's floor
+    exceeds 1 with no witness, a polynomial with inner radius > 0 reads its
+    root placement at once.  If it is complete and every disk lies inside
+    the inner circle, f / z^d (d the degree) has no zero on |z| >= inner,
+    infinity included, so the maximum modulus theorem for z^d / f gives
+    |f(z)| >= (|z| / inner)^d min_{|u| = inner} |f(u)| there: the inner
+    floor holds on the whole annulus and the outer circle is not scanned.
+    Otherwise, once both scans pass without a witness, a polynomial with
+    inner radius > 0 reads its complete root placement: a disk inside the
+    open annulus holds a zero, the witness; if no disk meets the closed
+    annulus, f has no zero there and the smaller circle floor holds on the
+    whole annulus.  In both cases the disks inside the inner circle count
+    the winding about 0 on it, kept with no samples and the inner floor as
+    its distance.  Otherwise the sampled windings decide
     (``_annulus_floor``).  The result is UNDECIDED when
     the threshold question is still open once the sample budget runs out
     or the arcs near the minimum reach rounding resolution, which is what
@@ -794,10 +824,15 @@ def min_modulus_on_annulus(
 
     lip_outer = f.lipschitz_bound(ann.outer)
     scan = _CircleScan(f, ann, budget.grid_max)
-    inner = max(0.0, scan.floor(ann.inner))
+    inner = outer = max(0.0, scan.floor(ann.inner))
     circle = ann.inner == ann.outer
-    outer = inner if circle or scan.violation else scan.floor(ann.outer)
-    zero, count = (None if scan.violation else _read_placement(f, ann)) or (None, None)
+    placed = None if scan.violation or not (circle or inner > _THRESHOLD) else _read_placement(f, ann)
+    # with every root inside the inner circle, its certified floor holds on
+    # the whole annulus (see above); else the outer circle is scanned too
+    if not (circle or scan.violation or placed and placed[1] == f.degree):
+        outer = scan.floor(ann.outer)
+        placed = None if scan.violation else placed or _read_placement(f, ann)
+    zero, count = placed or (None, None)
     if zero is not None:
         return CertifiedBound(0.0, zero[0], grid_step=0.0, lipschitz_bound=lip_outer,
                               status=CERTIFIED, min_sampled=0.0, root_radius=zero[1])

@@ -259,6 +259,78 @@ def test_threshold_decided_within_scan_budget(monkeypatch, name, geometry, side)
     assert v.condition_a.lower_bound <= min_modulus + op.map.eval_round_error(op.profile().r1)
 
 
+@pytest.mark.parametrize("geometry", ["circle", "annulus"])
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_near_threshold_witness_after_one_pass(monkeypatch, name, geometry):
+    # min |f| = 1 - 1e-9: the first pass leaves arcs floored at or below 1
+    # but no sample there, and Newton from its smallest sample finds the
+    # witness, so each scanned circle makes one 128-point pass; mpmath at 50
+    # digits proves |f| <= 1 at the witness, allowing for its distance from
+    # the annulus (a Lipschitz bound times it)
+    mpmath = pytest.importorskip("mpmath")
+    scans = record_scans(monkeypatch)
+    op = threshold_instance(name, geometry, 1.0 - 1e-9)
+    v = decide_geometric(op)
+    assert v.decision == NOT_JCLASS
+    assert [passes for scan in scans for _, passes in scan.circles] == [[128]]
+    prof, w = op.profile(), v.condition_a.witness_point
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(c.real, c.imag) for c in op.map.coeffs]
+        z = mpmath.mpc(w.real, w.imag)
+        off = max(0, prof.r2 - abs(z), abs(z) - prof.r1)
+        lip = sum(n * abs(a[n]) * (prof.r1 + off) ** (n - 1) for n in range(1, len(a)))
+        assert abs(mpmath.polyval(a[::-1], z)) + lip * off <= 1
+
+
+@pytest.mark.parametrize("geometry", ["circle", "annulus"])
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_probe_without_witness_changes_no_sample(monkeypatch, name, geometry):
+    # min |f| = 1 + 1e-9: the first pass leaves arcs floored at or below 1,
+    # so the probe runs, finds no witness and drops its samples; the bound
+    # comes out as it does with the probe switched off
+    op = threshold_instance(name, geometry, 1.0 + 1e-9)
+    probed = i_of_adjoint(op)
+    polish, probes = shiftspec.holo._CircleScan._polish, []
+
+    def unprobed(self, r, start, witness_only=False):
+        if witness_only:
+            probes.append(r)
+        else:
+            polish(self, r, start)
+
+    monkeypatch.setattr(shiftspec.holo._CircleScan, "_polish", unprobed)
+    assert i_of_adjoint(op).to_dict() == probed.to_dict()
+    assert probes
+
+
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_annulus_with_every_root_inside_scans_its_inner_circle_only(monkeypatch, name):
+    # every root lies inside r2, so f / z^d has no zero on |z| >= r2, infinity
+    # included, and the maximum modulus theorem for z^d / f carries the inner
+    # circle's certified floor to the whole annulus
+    scans = record_scans(monkeypatch)
+    for clearance in (1e-2, 1e-9):
+        op = threshold_instance(name, "annulus", 1.0 + clearance)
+        prof = op.profile()
+        ann = shiftspec.holo.Annulus(prof.r2, prof.r1)
+        assert op.map.placement.count_within(ann) == op.map.degree
+        scans.clear()
+        cert = i_of_adjoint(op)
+        assert cert.certifies_above
+        assert [len(scan.circles) for scan in scans] == [1]
+        assert cert.lower_bound == shiftspec.holo._CircleScan(op.map, ann, Budget().grid_max).floor(prof.r2)
+
+
+@pytest.mark.parametrize("name", THRESHOLD_MAPS)
+def test_open_inner_floor_still_scans_the_outer_circle(monkeypatch, name):
+    # at gridMax 64 the inner floor stays at or below 1, so the placement is
+    # not read early and the outer circle is scanned as before
+    scans = record_scans(monkeypatch)
+    cert = i_of_adjoint(threshold_instance(name, "annulus", 1.0 + 1e-9), Budget(grid_max=64))
+    assert cert.status == UNDECIDED
+    assert [len(scan.circles) for scan in scans] == [2]
+
+
 @pytest.mark.parametrize("grid_max", [160, 200, 300, 512, 1000])
 def test_refinement_passes_stay_within_grid_max(monkeypatch, grid_max):
     # only a circle's 128-point first pass (and its Newton steps) may take
@@ -305,6 +377,14 @@ def test_exact_threshold_abstains_within_scan_budget(monkeypatch, m, c):
     assert v.decision == VERDICT_UNDECIDED
     assert v.condition_a.lower_bound <= 1.0 < v.condition_a.min_sampled + 1e-12
     assert sum(scan.evals for scan in scans) <= 1024
+    # at gridMax 64 no refinement pass fits: a circle spends its first pass,
+    # the probe's 3 Newton steps and the end polish's 3, and the annulus adds
+    # its outer circle, whose first pass floors every arc above 1 (no probe)
+    for w, evals in ((WeightSequence.constant(c), 134), (WeightSequence.doubling_blocks(1.5 * c, c), 265)):
+        scans.clear()
+        v = decide_geometric(OperatorSpec(w, one_plus_zm(m)), Budget(grid_max=64))
+        assert v.decision == VERDICT_UNDECIDED
+        assert sum(scan.evals for scan in scans) == evals
 
 
 # -- cross checking ----------------------------------------------------------

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (inner_transient_instance, random_instance, random_poly, random_series, random_weights,
@@ -194,6 +194,9 @@ def test_oracle_refutes_a_wrong_floor():
     inner=st.floats(0.2, 2.5),
     ratio=st.sampled_from([1.0, 1.0, 1.3, 1.6]),
 )
+# a subnormal map: |a z| rounds on the dense circle, and only the allowance's
+# underflow term covers that rounding
+@example(coeffs=[(0, 0), (0, 2.225073858507e-311)], inner=1.0, ratio=1.0)
 def test_min_modulus_bound_below_dense_samples(coeffs, inner, ratio):
     # degree 1-4 on a circle (ratio 1) or an annulus: the bound sits below
     # |f| on a dense polar grid, and a larger gridMax keeps any CERTIFIED
@@ -214,6 +217,32 @@ def test_min_modulus_bound_below_dense_samples(coeffs, inner, ratio):
         else:
             assert not answers, "a larger gridMax lost a certified answer"
     assert len(set(answers)) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(st.tuples(st.floats(0.0, 0.9, exclude_max=True), st.floats(0.0, 2 * math.pi)),
+                   min_size=1, max_size=4),
+    level=st.floats(0.5, 3.0),
+    inner=st.floats(0.2, 2.5),
+    ratio=st.floats(1.0, 2.0),
+)
+def test_min_modulus_bound_with_every_root_inside(roots, level, inner, ratio):
+    # every root in |z| < 0.9 inner, the leading coefficient scaled so that
+    # min |f| on the inner circle is at least ``level``: where that circle's
+    # floor clears 1 the outer circle is not scanned, and the bound must
+    # still sit below |f| on 17 radii across the annulus
+    zs = [s * inner * complex(math.cos(t), math.sin(t)) for s, t in roots]
+    coeffs = np.array([1.0 + 0j])
+    for z in zs:
+        coeffs = np.convolve(coeffs, [-z, 1.0])
+    lead = level / math.prod(inner - abs(z) for z in zs)
+    f = Polynomial(tuple(lead * coeffs))
+    ann = Annulus(inner, inner * ratio)
+    z = np.linspace(ann.inner, ann.outer, 17)[:, None] * np.exp(2j * math.pi * np.arange(4096) / 4096)
+    dense = float(np.abs(f.eval(z)).min())
+    cert = min_modulus_on_annulus(f, ann)
+    assert cert.lower_bound <= dense + f.eval_round_error(ann.outer)
 
 
 def _series_instances(n: int, seed: int = 13) -> list:
