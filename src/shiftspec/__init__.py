@@ -17,7 +17,7 @@ _EXPORTS = {
                 "kernel_nontrivial", "truncation_modulus"),
     "jclass": ("JCLASS", "NOT_JCLASS", "VERDICT_UNDECIDED", "Verdict", "decide",
                "decide_geometric", "decide_moduli", "decide_unweighted", "cross_check",
-               "perturbation_stability"),
+               "stability_radius"),
     "dynamics": ("TruncatedVector", "MixingWitness", "apply_operator", "preimage_power",
                  "solve_poly", "mixing_witness", "eigenvector", "span_approximate",
                  "jset_experiment"),

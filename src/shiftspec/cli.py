@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
 
     if args.jset_start:
         start = _load_vector(args.jset_start, n)
-        rep = jset_experiment(op, start, [target], budget=budget, seed=args.seed, verdict=verdict)
+        rep = jset_experiment(op, start, [target], budget=budget, verdict=verdict)
         _emit(rep.to_dict())
         return 0 if rep.status != "INCONCLUSIVE" else EXIT_SIM_FAILED
 
@@ -218,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("simulate", cmd_simulate, "mixing-witness stages toward a target", grid + solve)
     p.add_argument("--target", default=None, help="target vector JSON file (default: all ones)")
     p.add_argument("--stages", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="noise seed for --jset-start")
     p.add_argument("--out", default=None, help="stage CSV output path")
     p.add_argument("--orbit-csv", default=None, help="also write the target's orbit envelope")
     p.add_argument("--jset-start", default=None,

@@ -683,7 +683,6 @@ class GrowthDiagnostic(Report):
     measured_rate: float
     certified_rate: float
     steps: int
-    trials: int
 
 
 @dataclass(frozen=True)
@@ -708,7 +707,6 @@ def jset_experiment(
     x: TruncatedVector,
     targets,
     budget: Budget | None = None,
-    seed: int = 0,
     verdict: Verdict | None = None,
 ) -> JSetReport:
     """Membership experiments for the extended limit set of x.
@@ -718,9 +716,11 @@ def jset_experiment(
     the target, so x + u_m -> x while the pushforward of x + u_m differs
     from the target only by the decaying orbit of x itself.  For a
     non-decaying start vector the experiment instead measures the tail
-    growth rate of perturbed iterates against the certified annulus bound
-    and reports heuristic non-membership (a certified negative is out of
-    reach at finite truncation).  Solves run at ``budget.tol``.
+    growth rate of the iterates of x + 1e-3 exp(2 pi i k phi) (k the
+    coordinate index, phi the golden ratio conjugate) against the certified
+    annulus bound and reports heuristic non-membership (a certified negative
+    is out of reach at finite truncation); it refuses, with ValueError, an
+    exact prefix too short for 4 steps.  Solves run at ``budget.tol``.
     """
     budget = budget or Budget()
     verdict = verdict or decide_geometric(op, budget)
@@ -759,22 +759,24 @@ def jset_experiment(
         overall = MEMBER if all(m.status == MEMBER for m in memberships) else INCONCLUSIVE
         return JSetReport("membership", tuple(memberships), None, overall)
 
-    # growth diagnostic for non-decaying start vectors
-    rng = np.random.default_rng(seed)
+    # growth diagnostic for non-decaying start vectors: 4 steps of degree deg
+    # must leave exact coordinates to measure
+    if x.exact_prefix <= 4 * deg:
+        raise ValueError(f"growth probe needs an exact prefix above 4 * degree = {4 * deg}, "
+                         f"got {x.exact_prefix}")
     rate_bound = verdict.condition_a.lower_bound
     steps = max(4, min(20, (x.exact_prefix - 8) // max(1, deg)))
     # window spacing divisible by small weight periods, so phase-dependent
     # partial-window corrections cancel out of the measured rate
     lo = steps - 12 if steps >= 16 else steps // 2
-    rates = []
-    for _ in range(3):
-        noise = 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-        cur = TruncatedVector(x.coords + noise, x.exact_prefix)
-        sups = [cur.sup_norm()]
-        for _ in range(steps):
-            cur = apply_operator(op, cur, 1)
-            sups.append(cur.sup_norm())
-        rates.append((sups[steps] / sups[lo]) ** (1.0 / (steps - lo)))
-    measured = float(np.median(rates))
-    diag = GrowthDiagnostic(measured, rate_bound, steps, 3)
+    # one fixed perturbation that puts mass on every coordinate; golden-ratio
+    # phases never repeat, so no weight period lines up with them
+    phases = np.exp(2j * np.pi * np.arange(x.size) * ((math.sqrt(5.0) - 1.0) / 2.0))
+    cur = TruncatedVector(x.coords + 1e-3 * phases, x.exact_prefix)
+    sups = [cur.sup_norm()]
+    for _ in range(steps):
+        cur = apply_operator(op, cur, 1)
+        sups.append(cur.sup_norm())
+    measured = float((sups[steps] / sups[lo]) ** (1.0 / (steps - lo)))
+    diag = GrowthDiagnostic(measured, rate_bound, steps)
     return JSetReport("growth", (), diag, HEURISTIC_NONMEMBER)

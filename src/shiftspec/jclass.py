@@ -23,24 +23,26 @@ Both routes start from the same condition-A certificate, so
 root placement is kept on the map, so both routes polish its roots once.
 Certified verdicts from the two routes can never contradict each other;
 near thresholds both abstain (UNDECIDED) rather than encode sampling noise.
+``stability_radius`` certifies how large a relative weight change a JCLASS
+verdict survives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .budget import Budget, Report
 from .holo import (
     CERTIFIED,
     UNDECIDED,
+    Annulus,
     CertifiedBound,
     CoverageResult,
     HoloMap,
     Polynomial,
     _origin_winding,
     covers_closed_unit_disk,
+    min_modulus_on_annulus,
 )
 from .spectra import (
     KERNEL_FALSE,
@@ -59,13 +61,12 @@ __all__ = [
     "VERDICT_UNDECIDED",
     "Verdict",
     "ConsistencyReport",
-    "StabilityReport",
     "decide_geometric",
     "decide_moduli",
     "decide_unweighted",
     "decide",
     "cross_check",
-    "perturbation_stability",
+    "stability_radius",
 ]
 
 JCLASS = "JCLASS"
@@ -229,53 +230,31 @@ def cross_check(op: OperatorSpec, budget: Budget | None = None) -> ConsistencyRe
     return ConsistencyReport(g, m, False, "certified contradiction")
 
 
-def _perturbed_weights(w: WeightSequence, rel_delta: float, rng) -> WeightSequence:
-    """Jitter every weight of the weights format: the prefix first, then the
-    tail's numbers in ``to_dict`` order."""
-    def jitter(v):
-        if isinstance(v, list):
-            return [jitter(x) for x in v]
-        return v * (1.0 + rng.uniform(-rel_delta, rel_delta))
+def stability_radius(op: OperatorSpec, budget: Budget | None = None) -> float:
+    """Certified relative stability radius of a JCLASS verdict.
 
-    d = w.to_dict()
-    prefix = jitter(d["prefix"])
-    tail = {k: v if k == "kind" else jitter(v) for k, v in d["tail"].items()}
-    return WeightSequence.from_dict({"prefix": prefix, "tail": tail})
-
-
-@dataclass(frozen=True)
-class StabilityReport(Report):
-    """Base verdict and the trials whose jittered weights flipped it."""
-    base: Verdict
-    rel_delta: float
-    trials: int
-    flips: tuple
-    stable: bool
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["flips"] = [{"trial": t, "decision": v, "weights": wd} for t, v, wd in self.flips]
-        return d
-
-
-def perturbation_stability(
-    op: OperatorSpec,
-    rel_delta: float,
-    trials: int,
-    seed: int = 0,
-    budget: Budget | None = None,
-) -> StabilityReport:
-    """Re-decide under independent multiplicative weight noise.
-
-    The J-class set is open, so verdicts with margin m survive noise small
-    relative to m; every flip is reported with the offending weights.
+    A relative weight change below delta moves the spectral radii by less
+    than the factors 1 -/+ delta, so the new annulus lies inside
+    [r2 (1 - delta), r1 (1 + delta)].  If f stays off the closed unit disk
+    there, condition A holds for the new annulus and the winding about 0 is
+    the same on every circle of it, so condition B holds too.  A fixed
+    30-step bisection over delta in [0, min(1, validity_radius / r1 - 1))
+    certifies condition A on each widened annulus and returns the largest
+    delta certified, so the result is sound whether or not the certified
+    bound is monotone in delta.  Raises ValueError unless the operator is
+    decided JCLASS.
     """
+    budget = budget or Budget()
     base = decide_geometric(op, budget)
-    rng = np.random.default_rng(seed)
-    flips = []
-    for t in range(trials):
-        wp = _perturbed_weights(op.weights, rel_delta, rng)
-        v = decide_geometric(OperatorSpec(wp, op.map), budget)
-        if v.decision != base.decision:
-            flips.append((t, v.decision, wp.to_dict()))
-    return StabilityReport(base, rel_delta, trials, tuple(flips), not flips)
+    if base.decision != JCLASS:
+        raise ValueError(f"stability radius needs JCLASS, got {base.decision}")
+    prof = base.profile
+    lo, hi = 0.0, min(1.0, op.map.validity_radius / prof.r1 - 1.0)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        ann = Annulus(prof.r2 * (1.0 - mid), prof.r1 * (1.0 + mid))
+        if min_modulus_on_annulus(op.map, ann, budget).certifies_above:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftspec.holo import Polynomial, Series
+from shiftspec.jclass import decide_geometric
 from shiftspec.spectra import OperatorSpec
 from shiftspec.weights import WeightSequence
 
@@ -78,6 +79,35 @@ def threshold_instance(name, geometry, min_modulus):
     else:
         w = WeightSequence.doubling_blocks(1.5 * r, r)
     return OperatorSpec(w, Polynomial(coeffs))
+
+
+def perturbed_weights(w, rel_delta, rng):
+    """Jitter every weight of the weights format by a factor 1 + U(-rel_delta,
+    rel_delta): the prefix first, then the tail's numbers in ``to_dict`` order."""
+    def jitter(v):
+        if isinstance(v, list):
+            return [jitter(x) for x in v]
+        return v * (1.0 + rng.uniform(-rel_delta, rel_delta))
+
+    d = w.to_dict()
+    prefix = jitter(d["prefix"])
+    tail = {k: v if k == "kind" else jitter(v) for k, v in d["tail"].items()}
+    return WeightSequence.from_dict({"prefix": prefix, "tail": tail})
+
+
+def perturbation_flips(op, rel_delta, trials, seed=0):
+    """Monte Carlo oracle for the stability of a geometric verdict: re-decide
+    under ``trials`` independent weight jitters and return (trial, decision,
+    weights dict) for each one whose decision differs from the base one."""
+    base = decide_geometric(op).decision
+    rng = np.random.default_rng(seed)
+    flips = []
+    for t in range(trials):
+        wp = perturbed_weights(op.weights, rel_delta, rng)
+        decision = decide_geometric(OperatorSpec(wp, op.map)).decision
+        if decision != base:
+            flips.append((t, decision, wp.to_dict()))
+    return flips
 
 
 def naive_window_product(w, k, n):

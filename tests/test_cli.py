@@ -362,6 +362,8 @@ def test_budget_overrides(tmp_path, monkeypatch):
         *([cmd, flag, "8"] for cmd in ("decide", "plot") for flag in ("--trunc-n", "--tol")),
         # an empty witness would read as a success
         *(["simulate", "--stages", count] for count in ("0", "-2")),
+        # the growth probe's perturbation is fixed, so there is no seed
+        ["simulate", "--seed", "3"],
     ],
 )
 def test_usage_errors_exit_64(tmp_path, capsys, argv):
@@ -645,6 +647,25 @@ def test_simulate_jset_mode_follows_tol(tmp_path, capsys, monkeypatch):
         assert main(["simulate", path, "--jset-start", str(start), "--tol", tol]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "MEMBER"
     assert tols == [1e-9, 1e-2]
+
+
+@pytest.mark.parametrize("ones, code", [(8, EXIT_UNSUPPORTED), (16, EXIT_UNSUPPORTED), (20, 0)])
+def test_simulate_growth_probe_stays_in_the_exact_prefix(tmp_path, capsys, ones, code):
+    # 4 steps of x^4 shift 16 coordinates out of the start vector's exact prefix
+    path = const_instance(tmp_path / "i.json", 2.0, [[0, 0]] * 4 + [[1, 0]])
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps([[1, 0]] * ones))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "--jset-start", str(start)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
+    else:
+        growth = json.loads(captured.out)["growth"]
+        assert growth == {"certifiedRate": 16.0, "measuredRate": growth["measuredRate"], "steps": 4}
+        assert growth["measuredRate"] == pytest.approx(16.0, rel=0.1)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--orbit-csv"])

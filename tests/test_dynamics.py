@@ -1153,6 +1153,32 @@ def test_jset_growth_diagnostic_constant_vector():
     assert rep.growth.measured_rate == pytest.approx(rep.growth.certified_rate, rel=0.1)
 
 
+def test_jset_growth_probe_is_deterministic_and_keeps_its_steps():
+    op, x = const_op(2.0, P(0, 0, 1)), TruncatedVector.ones(256)
+    first, second = (jset_experiment(op, x, []).growth for _ in range(2))
+    assert first == second
+    # the floor of 4 steps does not bind here: min(20, (256 - 8) // 2)
+    assert first.steps == 20
+    assert first.measured_rate == pytest.approx(4.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("prefix", [8, 12, 16])
+def test_jset_growth_probe_refuses_a_prefix_its_steps_would_exhaust(prefix):
+    # 4 steps of x^4 shift 16 coordinates out of the exact prefix
+    op = const_op(2.0, P(0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="exact prefix"):
+        jset_experiment(op, TruncatedVector.ones(prefix), [])
+
+
+def test_jset_growth_probe_at_the_shortest_prefix():
+    op = const_op(2.0, P(0, 0, 0, 0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growth = jset_experiment(op, TruncatedVector.ones(20), []).growth
+    assert growth.steps == 4 and growth.certified_rate == 16.0
+    assert growth.measured_rate == pytest.approx(16.0, rel=0.1)
+
+
 def test_jset_requires_jclass():
     with pytest.raises(ValueError):
         jset_experiment(const_op(1.0), TruncatedVector.zeros(64), [])

@@ -4,10 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import shiftspec.holo
 import shiftspec.jclass
-from conftest import THRESHOLD_MAPS, random_instance, threshold_instance
+from conftest import (
+    THRESHOLD_MAPS,
+    perturbation_flips,
+    perturbed_weights,
+    random_instance,
+    random_series,
+    random_weights,
+    threshold_instance,
+)
 from shiftspec.budget import Budget
 from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map, winding_number
 from shiftspec.jclass import (
@@ -20,7 +30,7 @@ from shiftspec.jclass import (
     decide_moduli,
     decide_unweighted,
     Verdict,
-    perturbation_stability,
+    stability_radius,
 )
 from shiftspec.cli import load_instance
 from shiftspec.spectra import KERNEL_TRUE, OperatorSpec, UnsupportedMapError, i_of_adjoint
@@ -562,28 +572,86 @@ class _CountingRng:
 def test_perturbed_weights_draw_order(tail, expected):
     # the prefix draws first, then the tail's numbers in to_dict order
     w = WeightSequence((1.0, 1.0), tail)
-    wp = shiftspec.jclass._perturbed_weights(w, 0.1, _CountingRng())
+    wp = perturbed_weights(w, 0.1, _CountingRng())
     assert wp.prefix == (2.0, 3.0) and wp.tail == expected
 
 
 def test_stability_within_margin():
-    rep = perturbation_stability(const_op(2.0), rel_delta=0.05, trials=20, seed=1)
-    assert rep.stable
-    assert rep.base.decision == JCLASS
+    # |z| on the circle of radius 2: the radius is 1 - 1/2
+    op = const_op(2.0)
+    assert 0.05 < stability_radius(op) <= 0.5
+    assert decide_geometric(op).decision == JCLASS
+    assert not perturbation_flips(op, 0.05, trials=20, seed=1)
 
 
 def test_stability_small_margin_instance():
-    # 1.45 * 0.99 = 1.4355 still clears sqrt(2)
-    rep = perturbation_stability(const_op(1.45, one_plus_zm(2)), 0.01, trials=20, seed=2)
-    assert rep.stable
+    # 1 + z^2 stays off the closed unit disk for |z| > sqrt(2), so the radius
+    # is 1 - sqrt(2) / 1.45 = 0.0247; 1.45 * 0.99 = 1.4355 still clears sqrt(2)
+    op = const_op(1.45, one_plus_zm(2))
+    assert 0.01 < stability_radius(op) <= 1.0 - math.sqrt(2.0) / 1.45
+    assert not perturbation_flips(op, 0.01, trials=20, seed=2)
 
 
 def test_stability_reports_flips_outside_radius():
-    rep = perturbation_stability(const_op(2.0), rel_delta=0.6, trials=40, seed=3)
-    assert not rep.stable
-    assert len(rep.flips) > 0
-    trial, decision, weights = rep.flips[0]
+    op = const_op(2.0)
+    assert stability_radius(op) < 0.6
+    flips = perturbation_flips(op, 0.6, trials=40, seed=3)
+    assert len(flips) > 0
+    trial, decision, weights = flips[0]
     assert decision != JCLASS and "tail" in weights
+
+
+def _monomial_ops():
+    rng = np.random.default_rng(4040)
+    ops = []
+    while len(ops) < 30:
+        w = random_weights(rng, lo=1.1, hi=3.0)
+        d = int(rng.integers(1, 5))
+        # closed form at least 0.1, so 30 halvings of [0, 1) resolve it to 1e-8 relative
+        target = rng.uniform(0.1, 0.9)
+        a = (spectral_profile(w).r2 * (1.0 - target)) ** -d * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        f = Polynomial((0j,) * d + (complex(a),))
+        ops.append(OperatorSpec(w, f))
+    return ops
+
+
+@pytest.mark.parametrize("op", _monomial_ops())
+def test_stability_radius_matches_monomial_closed_form(op):
+    # |a z^d| > 1 exactly for |z| > |a|^(-1/d), so the radius cannot exceed
+    # 1 - |a|^(-1/d) / r2
+    a, d = op.map.monomial_form()
+    closed = 1.0 - abs(a) ** (-1.0 / d) / spectral_profile(op.weights).r2
+    delta = stability_radius(op)
+    assert closed * (1.0 - 1e-8) <= delta <= closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_oracle_flip_inside_stability_radius(seed):
+    op = random_instance(np.random.default_rng(seed))
+    assume(decide_geometric(op).decision == JCLASS)
+    delta = stability_radius(op)
+    assert delta > 0
+    assert not perturbation_flips(op, 0.99 * delta, trials=10, seed=seed)
+
+
+def test_stability_radius_keeps_series_inside_validity_disk():
+    # the condition-A bound alone would allow about 1 - 1 / 3 = 0.67, the
+    # validity disk of radius 2.2 only 2.2 / 2 - 1 = 0.1
+    op = OperatorSpec(WeightSequence.constant(2.0), Series((0j, 1.5 + 0j), 0.01, 0.4, 2.2))
+    delta = stability_radius(op)
+    assert 0.09 < delta < 0.1 and 2.0 * (1.0 + delta) < op.map.validity_radius
+    rng = np.random.default_rng(4141)
+    for _ in range(10):
+        w = random_weights(rng, lo=1.1, hi=3.0)
+        op = OperatorSpec(w, random_series(rng, spectral_profile(w).r1))
+        if decide_geometric(op).decision == JCLASS:
+            assert spectral_profile(w).r1 * (1.0 + stability_radius(op)) < op.map.validity_radius
+
+
+def test_stability_radius_refuses_non_jclass():
+    with pytest.raises(ValueError, match="NOT_JCLASS"):
+        stability_radius(const_op(1.0))
 
 
 # -- products -------------------------------------------------------------------

@@ -15,7 +15,7 @@ from shiftspec.dynamics import (
     mixing_witness,
 )
 from shiftspec.holo import Annulus, Polynomial, Series, identity_map, winding_number
-from shiftspec.jclass import cross_check, decide_geometric, perturbation_stability
+from shiftspec.jclass import cross_check, decide_geometric
 from shiftspec.spectra import ModulusEstimate, OperatorSpec, i_of_adjoint
 from shiftspec.weights import WeightSequence
 
@@ -36,11 +36,10 @@ def _reports():
         "ModulusEstimate": ModulusEstimate(1.0, 2.0, False),
         "TruncatedVector": TruncatedVector.ones(4),
         "SpanFit": SpanFit(np.array([1 + 2j]), 0.5, 0.25, 3.0),
-        "GrowthDiagnostic": GrowthDiagnostic(2.0, 1.5, 20, 3),
+        "GrowthDiagnostic": GrowthDiagnostic(2.0, 1.5, 20),
         "JSetReport": JSetReport("membership", (MembershipCertificate(0, "MEMBER", ((1, 0.5, 0.25),), 0.25),),
                                  None, "MEMBER"),
         "MixingWitness": mixing_witness(OP, TruncatedVector.ones(64), 2, verdict=verdict),
-        "StabilityReport": perturbation_stability(OP, 0.01, 2),
     }
 
 
@@ -59,11 +58,10 @@ KEYS = {
     "ModulusEstimate": {"kappa", "s", "degenerate"},
     "TruncatedVector": {"coords", "exactPrefix"},
     "SpanFit": {"coefficients", "residualSup", "residualL2", "condition"},
-    "GrowthDiagnostic": {"measuredRate", "certifiedRate", "steps", "trials"},
+    "GrowthDiagnostic": {"measuredRate", "certifiedRate", "steps"},
     "JSetReport": {"mode", "memberships", "growth", "status"},
     "MixingWitness": {"n0", "epsilon", "constant", "targetNorm", "stages", "ok", "failure",
                       "pushforwardIdentity"},
-    "StabilityReport": {"base", "relDelta", "trials", "flips", "stable"},
 }
 
 
@@ -96,8 +94,6 @@ def test_nested_values_take_their_own_json_form(reports):
     assert j["growth"] is None
     assert j["memberships"] == [{"target": 0, "status": "MEMBER", "finalError": 0.25,
                                  "stages": [{"m": 1, "approxDistance": 0.5, "orbitError": 0.25}]}]
-    flips = reports["StabilityReport"].to_dict()["flips"]
-    assert all(set(f) == {"trial", "decision", "weights"} for f in flips)
 
 
 def test_complex_values_are_re_im_pairs(reports):

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,8 +149,8 @@ _STAR_NAMES = {
     "cross_check", "decide", "decide_geometric", "decide_moduli", "decide_unweighted",
     "dynamics", "eigenvector", "holo", "i_of_adjoint", "identity_map", "jclass",
     "jset_experiment", "kappa_forward_power", "kernel_nontrivial", "min_modulus_on_annulus",
-    "mixing_witness", "perturbation_stability", "preimage_power", "solve_poly",
-    "span_approximate", "spectra", "spectral_picture", "spectral_profile",
+    "mixing_witness", "preimage_power", "solve_poly", "span_approximate", "spectra",
+    "spectral_picture", "spectral_profile", "stability_radius",
     "truncation_modulus", "weights", "winding_number", "window_product",
 }
 
@@ -191,3 +192,16 @@ def test_lazy_package_dir_errors_and_version():
     with pytest.raises(AttributeError, match="no_such_layer"):
         shiftspec.no_such_layer
     assert shiftspec.__version__ == "0.1.0"
+
+
+# -- determinism ----------------------------------------------------------------
+
+
+def test_no_random_number_generator_in_src():
+    # every answer the package gives is a function of its input; the Monte
+    # Carlo stability oracle lives in tests/conftest.py
+    src = Path(__file__).resolve().parents[1] / "src" / "shiftspec"
+    pattern = re.compile(r"np\.random|default_rng|^import random", re.MULTILINE)
+    files = sorted(src.glob("*.py"))
+    assert files
+    assert [p.name for p in files if pattern.search(p.read_text(encoding="utf-8"))] == []
