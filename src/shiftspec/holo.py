@@ -5,7 +5,8 @@ coefficient tail (evaluate-only, with a documented truncation error).  The
 predicates this module certifies are the two that drive every decision
 downstream:
 
-  * a lower bound for min |f| over a centered annulus, via a 1-D
+  * a lower bound for min |f| over a centered annulus: in closed form for
+    monomials a z^d and affine maps a0 + a1 z, else via a 1-D
     branch-and-bound over arcs of its two boundary circles, each arc
     certified with a second-order (tangent segment plus curvature) bound;
     the minimum modulus principle carries it to the whole annulus once
@@ -282,6 +283,9 @@ class HoloMap:
     def monomial_form(self) -> tuple[complex, int] | None:
         return None
 
+    def affine_form(self) -> tuple[complex, complex] | None:
+        return None
+
     def _tails(self, radius: float) -> tuple[float, float, float]:
         """Bounds for the neglected tails of f, f' and f'' on |z| <= radius."""
         return 0.0, 0.0, 0.0
@@ -328,6 +332,10 @@ class Polynomial(HoloMap):
         with trailing zeros stripped, only the leading one can be nonzero."""
         d = self.degree
         return None if any(self.coeffs[:d]) else (self.coeffs[d], d)
+
+    def affine_form(self) -> tuple[complex, complex] | None:
+        """(a0, a1) when f = a0 + a1 z with a0 and a1 nonzero, else None."""
+        return self.coeffs if self.degree == 1 and self.coeffs[0] else None
 
     def eval(self, z, derivative: bool = False):
         """f(z); with ``derivative``, the pair (f(z), f'(z))."""
@@ -515,11 +523,12 @@ class CertifiedBound(Report):
     step: the reconstruction inequality lower_bound <= min_sampled -
     lipschitz_bound * grid_step * sqrt(2)/2 holds by construction.
     ``inner_winding`` keeps (radius, winding about 0) of the inner circle
-    for condition B when it was taken or read from the root placement; it
-    is no part of the value or the JSON.  ``root_radius`` is set when a root
-    disk inside the open annulus witnesses the violation: a zero of f lies
-    within it of ``witness_point``, and ``min_sampled`` and ``lower_bound``
-    are 0.  The verdict's notes carry it, not the JSON of the bound.
+    for condition B when it was taken, read from the root placement or
+    given by the affine closed form; it is no part of the value or the
+    JSON.  ``root_radius`` is set when a root disk inside the open annulus
+    witnesses the violation: a zero of f lies within it of
+    ``witness_point``, and ``min_sampled`` and ``lower_bound`` are 0.  The
+    verdict's notes carry it, not the JSON of the bound.
     """
 
     lower_bound: float
@@ -776,6 +785,44 @@ def _annulus_floor(f: HoloMap, ann: Annulus, scan: _CircleScan, inner: float, ou
     return 0.0, (ann.inner, w_lo)
 
 
+def _affine_bound(f: HoloMap, ann: Annulus, a0: complex, a1: complex) -> CertifiedBound:
+    """Condition A for f = a0 + a1 z, a0 and a1 nonzero, in closed form.
+
+    With A = |a1|, B = |a0| and u = -(a0 / B)(conj(a1) / A) the root's unit
+    direction, |f(z)| = A |z - u B / A|, so min |f| on the annulus is
+    max(0, A inner - B, B - A outer), taken at the annulus point nearest
+    the root: inner u, outer u, or the root itself.  The bound is that
+    minimum less ``eval_round_error(outer)``, 16 eps (B + A outer) plus the
+    underflow term, which covers the few roundings of A, B and the two
+    differences; no quotient is formed unless the root lies in the annulus,
+    where B / A is at most about outer.  The sample at the nearest point is
+    the witness when it is at most 1 less that allowance.  A tie (a minimum
+    within the allowance of 1) comes back UNDECIDED.  When |A inner - B|
+    clears the allowance, the root lies strictly inside or outside the inner
+    circle, so the winding about 0 there is 1 or 0, kept with no samples.
+    """
+    big_a, big_b = abs(a1), abs(a0)
+    allowance = f.eval_round_error(ann.outer)
+    inside, outside = big_a * ann.inner - big_b, big_b - big_a * ann.outer
+    if inside > 0:
+        radius = ann.inner
+    elif outside > 0:
+        radius = ann.outer
+    else:
+        radius = min(max(big_b / big_a, ann.inner), ann.outer)
+    point = -(a0 / big_b) * (a1.conjugate() / big_a) * radius
+    sampled = abs(f.eval(point))
+    lower = max(0.0, max(inside, outside) - allowance)
+    distance = abs(inside) - allowance
+    winding = None
+    if ann.inner > 0 and distance > 0:
+        winding = (ann.inner, WindingResult(int(inside > 0), True, 0, distance))
+    decided = lower > _THRESHOLD or sampled + allowance <= _THRESHOLD
+    return CertifiedBound(lower, point, grid_step=0.0, lipschitz_bound=f.lipschitz_bound(ann.outer),
+                          status=CERTIFIED if decided else UNDECIDED, min_sampled=sampled,
+                          inner_winding=winding)
+
+
 def min_modulus_on_annulus(
     f: HoloMap,
     ann: Annulus,
@@ -783,15 +830,18 @@ def min_modulus_on_annulus(
 ) -> CertifiedBound:
     """Certified lower bound L for min |f| on the annulus (true min >= L).
 
-    Monomials a z^d get the exact closed form |a| inner^d.  Other maps are
-    scanned on the boundary circles only (``_CircleScan``) with a
-    second-order bound per arc, so the evaluations needed grow only
-    logarithmically as min |f| approaches the J-class threshold 1.  A sample
-    with |f| <= 1 is a violation witness.  When the inner circle's floor
-    exceeds 1 with no witness, a polynomial with inner radius > 0 reads its
-    root placement at once.  If it is complete and every disk lies inside
-    the inner circle, f / z^d (d the degree) has no zero on |z| >= inner,
-    infinity included, so the maximum modulus theorem for z^d / f gives
+    Monomials a z^d get the exact closed form |a| inner^d, and affine maps
+    a0 + a1 z with a0 nonzero the closed form max(0, |a1| inner - |a0|,
+    |a0| - |a1| outer) less a rounding allowance (``_affine_bound``).
+    Other polynomials and every series map are scanned on the boundary
+    circles only (``_CircleScan``) with a second-order bound per arc, so the
+    evaluations needed grow only logarithmically as min |f| approaches the
+    J-class threshold 1.  A sample with |f| <= 1 is a violation witness.
+    When the inner circle's floor exceeds 1 with no witness, a polynomial
+    with inner radius > 0 reads its root placement at once.  If it is
+    complete and every disk lies inside the inner circle, f / z^d (d the
+    degree) has no zero on |z| >= inner, infinity included, so the maximum
+    modulus theorem for z^d / f gives
     |f(z)| >= (|z| / inner)^d min_{|u| = inner} |f(u)| there: the inner
     floor holds on the whole annulus and the outer circle is not scanned.
     Otherwise, once both scans pass without a witness, a polynomial with
@@ -821,6 +871,9 @@ def min_modulus_on_annulus(
         return CertifiedBound(lb, complex(ann.inner if d > 0 else ann.outer), grid_step=0.0,
                               lipschitz_bound=f.lipschitz_bound(ann.outer), status=CERTIFIED,
                               min_sampled=lb)
+    affine = f.affine_form()
+    if affine is not None:
+        return _affine_bound(f, ann, *affine)
 
     lip_outer = f.lipschitz_bound(ann.outer)
     scan = _CircleScan(f, ann, budget.grid_max)

@@ -7,9 +7,11 @@ open disk of radius r2 covers the closed unit disk (condition B).  Two
 independent decision routes are implemented:
 
   * the geometric route certifies A with a lower bound for min |f| on the
-    annulus, taken on its two boundary circles, and B with a single winding
-    number around 0 (sound because under A the image curve misses the
-    closed unit disk, so the preimage count is constant across it).  For a
+    annulus, in closed form for monomials and affine maps (the verdict's
+    route is then CLOSED_FORM) and otherwise taken on its two boundary
+    circles, and B with a single winding number around 0 (sound because
+    under A the image curve misses the closed unit disk, so the preimage
+    count is constant across it).  For a
     polynomial whose root disks are disjoint and clear the annulus, that
     winding is the number of disks inside r2, read with no sample, and a
     disk inside the annulus refutes A with its root as the witness;
@@ -121,7 +123,8 @@ def decide_geometric(op: OperatorSpec, budget: Budget | None = None) -> Verdict:
     """Decide via the annulus-avoidance and disk-coverage certificates."""
     budget = budget or Budget()
     prof, cert_a = op.check_validity(), i_of_adjoint(op, budget)
-    route = CLOSED_FORM if op.map.monomial_form() is not None else GEOMETRIC
+    closed = op.map.monomial_form() is not None or op.map.affine_form() is not None
+    route = CLOSED_FORM if closed else GEOMETRIC
     verdict = _verdicts(route, prof, cert_a)
     if cert_a.certifies_violation:
         return verdict(NOT_JCLASS, margin=max(0.0, 1.0 - cert_a.min_sampled),

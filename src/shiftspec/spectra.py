@@ -139,7 +139,8 @@ def i_of_adjoint(op: OperatorSpec, budget: Budget | None = None) -> CertifiedBou
     """Certified lower bound for the asymptotic injectivity modulus of the
     adjoint side: min |f| over the annulus [r2, r1].
 
-    Exact (width 0) for the identity map and monomials; otherwise a certified
+    Exact (width 0) for the identity map and monomials, in closed form less
+    a rounding allowance for affine maps a0 + a1 z; otherwise a certified
     bound from the two boundary circles (``holo.min_modulus_on_annulus``).
     """
     prof = op.check_validity()

@@ -617,6 +617,24 @@ def test_simulate_past_cumulative_product_range(tmp_path, capsys, c, path, extra
             assert s["roundTripResidual"] == 0.0
 
 
+IDENTITY_PLUS_SHIFT = str(Path(__file__).resolve().parents[1] / "instances" / "identity_plus_shift.json")
+
+
+def test_identity_plus_shift_instance(capsys):
+    # I + B_w on constant weight 3: min |1 + z| on |z| = 3 is 2 at z = -3,
+    # in closed form, and the root -1 inside counts condition B's winding
+    assert main(["decide", IDENTITY_PLUS_SHIFT]) == EXIT_JCLASS
+    out = json.loads(capsys.readouterr().out)
+    assert out["route"] == "CLOSED_FORM" and out["conditionB"]["winding"]["samples"] == 0
+    assert out["conditionA"]["minSampled"] == 2.0 and out["conditionA"]["witnessPoint"] == [-3.0, 0.0]
+    assert main(["decide", IDENTITY_PLUS_SHIFT, "--route", "both"]) == EXIT_JCLASS
+    both = json.loads(capsys.readouterr().out)["consistency"]
+    assert both["consistent"] is True and both["moduli"]["decision"] == "JCLASS"
+    assert main(["simulate", IDENTITY_PLUS_SHIFT]) == 0
+    wit = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert wit["ok"] is True and len(wit["stages"]) == 5
+
+
 def test_simulate_loose_tol_keeps_root_routing(capsys):
     # the roots +-i of 1 + z^2 clear the inner radius 1.5 by 0.5; a loose
     # residual tolerance must not move them into the annulus

@@ -19,7 +19,8 @@ from conftest import (
     threshold_instance,
 )
 from shiftspec.budget import Budget
-from shiftspec.holo import CERTIFIED, UNDECIDED, Polynomial, Series, identity_map, winding_number
+from shiftspec.holo import (CERTIFIED, UNDECIDED, Polynomial, Series, WindingResult, identity_map,
+                            winding_number)
 from shiftspec.jclass import (
     JCLASS,
     NOT_JCLASS,
@@ -153,6 +154,68 @@ def test_annulus_violation_right_below_threshold():
     assert abs(abs(v.condition_a.witness_point) - r) <= 1e-12 * r
 
 
+# -- affine maps a0 + a1 z in closed form ---------------------------------------
+
+
+BLOCKS_3_2 = WeightSequence.doubling_blocks(3.0, 2.0)  # annulus 2 <= |z| <= 3
+
+
+def test_affine_exact_ties_abstain(monkeypatch):
+    # min |f| = 1 exactly, with no scan: 1 + z at r2 = 2 (root -1 inside the
+    # inner circle), and -7 + 2z on 2 <= |z| <= 3, whose root 3.5 lies
+    # 1 / |a1| = 0.5 beyond the outer circle
+    scans = record_scans(monkeypatch)
+    ties = [const_op(2.0, P(1, 1)), OperatorSpec(WeightSequence.doubling_blocks(4.0, 2.0), P(1, 1)),
+            OperatorSpec(BLOCKS_3_2, P(-7, 2))]
+    for op in ties:
+        cert = i_of_adjoint(op)
+        assert cert.status == UNDECIDED and cert.lower_bound < 1.0 == cert.min_sampled
+    assert decide_geometric(ties[0]).decision == VERDICT_UNDECIDED
+    # the root outside r2 still refutes coverage: winding 0 with no sample
+    v = decide_geometric(ties[2])
+    assert v.decision == NOT_JCLASS and v.route == "CLOSED_FORM"
+    assert v.condition_b.winding.winding == 0 and v.condition_b.winding.samples == 0
+    assert v.notes == "coverage refuted while the annulus bound stayed open"
+    assert scans == []
+
+
+def test_affine_root_in_annulus_is_the_witness():
+    a1 = 1 - 1j
+    root = 1.5 + 2j  # |root| = 2.5
+    v = decide_geometric(OperatorSpec(BLOCKS_3_2, P(-a1 * root, a1)))
+    a = v.condition_a
+    assert v.decision == NOT_JCLASS and v.route == "CLOSED_FORM" and a.status == CERTIFIED
+    assert a.lower_bound == 0.0 and a.root_radius is None
+    assert abs(a.witness_point - root) <= 1e-15 and a.min_sampled <= 1e-15
+    assert v.margin == 1.0 - a.min_sampled
+
+
+def test_affine_root_outside_the_annulus_winds_zero():
+    # 5 - z: min |f| = 5 - 3 = 2 on the outer circle, and the root 5 lies
+    # outside r2 = 2, so the winding about 0 there is a certified 0
+    f = P(5, -1)
+    v = decide_geometric(OperatorSpec(BLOCKS_3_2, f))
+    allowance = f.eval_round_error(3.0)
+    assert v.decision == NOT_JCLASS and v.route == "CLOSED_FORM"
+    assert v.condition_a.certifies_above and v.condition_a.lower_bound == 2.0 - allowance
+    assert v.condition_a.witness_point == 3.0
+    assert v.condition_b.winding == WindingResult(0, True, 0, 3.0 - allowance)
+    assert v.notes == "unit disk not covered (winding 0 about the origin)"
+    # the moduli route reads the root placement: no root in the spectral disk
+    rep = cross_check(OperatorSpec(BLOCKS_3_2, f))
+    assert rep.consistent and rep.moduli.kernel.status == "FALSE"
+
+
+def test_affine_jclass_counts_its_root_with_no_sample():
+    # I + 3 B: min |1 + z| on |z| = 3 is 2, the root -1 lies inside
+    v = decide_geometric(const_op(3.0, P(1, 1)))
+    allowance = P(1, 1).eval_round_error(3.0)
+    assert v.decision == JCLASS and v.route == "CLOSED_FORM"
+    assert v.condition_a.lower_bound == 2.0 - allowance and v.condition_a.witness_point == -3.0
+    assert v.condition_b.winding == WindingResult(1, True, 0, 2.0 - allowance)
+    assert v.margin == 1.0 - allowance
+
+
 def test_series_validity_radius_enforced():
     s = Series((3.0, 1.0), 0.1, 0.4, 1.5)
     with pytest.raises(ValueError):
@@ -256,16 +319,20 @@ def record_scans(monkeypatch) -> list:
 def test_threshold_decided_within_scan_budget(monkeypatch, name, geometry, side):
     # min |f| = 1 +- 1e-9 on the annulus: the second-order arc floor keeps
     # only a few arcs near the minimum, and each pass splits them as many
-    # levels deep as fit in 128 points, so a circle takes at most 4 passes
+    # levels deep as fit in 128 points, so a circle takes at most 4 passes;
+    # the affine 1 + z is decided in closed form, with no scan
     scans = record_scans(monkeypatch)
     min_modulus = 1.0 + side * 1e-9
     op = threshold_instance(name, geometry, min_modulus)
     v = decide_geometric(op)
     assert v.decision == (JCLASS if side > 0 else NOT_JCLASS)
-    assert sum(scan.evals for scan in scans) <= 1024
     circles = [passes for scan in scans for _, passes in scan.circles]
-    assert max(len(passes) for passes in circles) <= 4
-    assert max(max(passes) for passes in circles) <= 128
+    if op.map.degree == 1:
+        assert scans == []
+    else:
+        assert sum(scan.evals for scan in scans) <= 1024
+        assert max(len(passes) for passes in circles) <= 4
+        assert max(max(passes) for passes in circles) <= 128
     assert v.condition_a.lower_bound <= min_modulus + op.map.eval_round_error(op.profile().r1)
 
 
@@ -276,13 +343,15 @@ def test_near_threshold_witness_after_one_pass(monkeypatch, name, geometry):
     # but no sample there, and Newton from its smallest sample finds the
     # witness, so each scanned circle makes one 128-point pass; mpmath at 50
     # digits proves |f| <= 1 at the witness, allowing for its distance from
-    # the annulus (a Lipschitz bound times it)
+    # the annulus (a Lipschitz bound times it); the affine 1 + z takes its
+    # witness from the closed form, with no scan
     mpmath = pytest.importorskip("mpmath")
     scans = record_scans(monkeypatch)
     op = threshold_instance(name, geometry, 1.0 - 1e-9)
     v = decide_geometric(op)
     assert v.decision == NOT_JCLASS
-    assert [passes for scan in scans for _, passes in scan.circles] == [[128]]
+    passes = [passes for scan in scans for _, passes in scan.circles]
+    assert passes == ([] if op.map.degree == 1 else [[128]])
     prof, w = op.profile(), v.condition_a.witness_point
     with mpmath.workdps(50):
         a = [mpmath.mpc(c.real, c.imag) for c in op.map.coeffs]
@@ -297,7 +366,8 @@ def test_near_threshold_witness_after_one_pass(monkeypatch, name, geometry):
 def test_probe_without_witness_changes_no_sample(monkeypatch, name, geometry):
     # min |f| = 1 + 1e-9: the first pass leaves arcs floored at or below 1,
     # so the probe runs, finds no witness and drops its samples; the bound
-    # comes out as it does with the probe switched off
+    # comes out as it does with the probe switched off.  The affine 1 + z is
+    # decided in closed form, where no probe runs
     op = threshold_instance(name, geometry, 1.0 + 1e-9)
     probed = i_of_adjoint(op)
     polish, probes = shiftspec.holo._CircleScan._polish, []
@@ -310,14 +380,15 @@ def test_probe_without_witness_changes_no_sample(monkeypatch, name, geometry):
 
     monkeypatch.setattr(shiftspec.holo._CircleScan, "_polish", unprobed)
     assert i_of_adjoint(op).to_dict() == probed.to_dict()
-    assert probes
+    assert bool(probes) == (op.map.degree > 1)
 
 
 @pytest.mark.parametrize("name", THRESHOLD_MAPS)
 def test_annulus_with_every_root_inside_scans_its_inner_circle_only(monkeypatch, name):
     # every root lies inside r2, so f / z^d has no zero on |z| >= r2, infinity
     # included, and the maximum modulus theorem for z^d / f carries the inner
-    # circle's certified floor to the whole annulus
+    # circle's certified floor to the whole annulus; the affine 1 + z scans
+    # neither circle and takes |a1| r2 - |a0| less the rounding allowance
     scans = record_scans(monkeypatch)
     for clearance in (1e-2, 1e-9):
         op = threshold_instance(name, "annulus", 1.0 + clearance)
@@ -327,18 +398,29 @@ def test_annulus_with_every_root_inside_scans_its_inner_circle_only(monkeypatch,
         scans.clear()
         cert = i_of_adjoint(op)
         assert cert.certifies_above
-        assert [len(scan.circles) for scan in scans] == [1]
-        assert cert.lower_bound == shiftspec.holo._CircleScan(op.map, ann, Budget().grid_max).floor(prof.r2)
+        if op.map.degree == 1:
+            assert scans == []
+            a0, a1 = op.map.coeffs
+            assert cert.lower_bound == abs(a1) * prof.r2 - abs(a0) - op.map.eval_round_error(prof.r1)
+        else:
+            assert [len(scan.circles) for scan in scans] == [1]
+            floor = shiftspec.holo._CircleScan(op.map, ann, Budget().grid_max).floor(prof.r2)
+            assert cert.lower_bound == floor
 
 
 @pytest.mark.parametrize("name", THRESHOLD_MAPS)
 def test_open_inner_floor_still_scans_the_outer_circle(monkeypatch, name):
     # at gridMax 64 the inner floor stays at or below 1, so the placement is
-    # not read early and the outer circle is scanned as before
+    # not read early and the outer circle is scanned as before; the affine
+    # 1 + z needs no budget and is certified with no scan
     scans = record_scans(monkeypatch)
-    cert = i_of_adjoint(threshold_instance(name, "annulus", 1.0 + 1e-9), Budget(grid_max=64))
-    assert cert.status == UNDECIDED
-    assert [len(scan.circles) for scan in scans] == [2]
+    op = threshold_instance(name, "annulus", 1.0 + 1e-9)
+    cert = i_of_adjoint(op, Budget(grid_max=64))
+    if op.map.degree == 1:
+        assert cert.certifies_above and scans == []
+    else:
+        assert cert.status == UNDECIDED
+        assert [len(scan.circles) for scan in scans] == [2]
 
 
 @pytest.mark.parametrize("grid_max", [160, 200, 300, 512, 1000])
@@ -381,12 +463,13 @@ def test_larger_grid_max_keeps_threshold_answers(name, geometry):
 
 @pytest.mark.parametrize("m, c", [(1, 2.0), (2, 2.0 ** 0.5), (3, 2.0 ** (1 / 3)), (2, math.sqrt(2))])
 def test_exact_threshold_abstains_within_scan_budget(monkeypatch, m, c):
-    # min |f| = 1 exactly: the refinement stops at rounding resolution
+    # min |f| = 1 exactly: the refinement stops at rounding resolution, and
+    # the affine 1 + z (m = 1) abstains in closed form with no scan
     scans = record_scans(monkeypatch)
     v = decide_geometric(const_op(c, one_plus_zm(m)))
     assert v.decision == VERDICT_UNDECIDED
     assert v.condition_a.lower_bound <= 1.0 < v.condition_a.min_sampled + 1e-12
-    assert sum(scan.evals for scan in scans) <= 1024
+    assert sum(scan.evals for scan in scans) <= (0 if m == 1 else 1024)
     # at gridMax 64 no refinement pass fits: a circle spends its first pass,
     # the probe's 3 Newton steps and the end polish's 3, and the annulus adds
     # its outer circle, whose first pass floors every arc above 1 (no probe)
@@ -394,7 +477,7 @@ def test_exact_threshold_abstains_within_scan_budget(monkeypatch, m, c):
         scans.clear()
         v = decide_geometric(OperatorSpec(w, one_plus_zm(m)), Budget(grid_max=64))
         assert v.decision == VERDICT_UNDECIDED
-        assert sum(scan.evals for scan in scans) == evals
+        assert sum(scan.evals for scan in scans) == (0 if m == 1 else evals)
 
 
 # -- cross checking ----------------------------------------------------------
@@ -621,6 +704,30 @@ def test_stability_radius_matches_monomial_closed_form(op):
     # 1 - |a|^(-1/d) / r2
     a, d = op.map.monomial_form()
     closed = 1.0 - abs(a) ** (-1.0 / d) / spectral_profile(op.weights).r2
+    delta = stability_radius(op)
+    assert closed * (1.0 - 1e-8) <= delta <= closed
+
+
+def _affine_ops():
+    rng = np.random.default_rng(4242)
+    ops = []
+    for _ in range(30):
+        w = random_weights(rng, lo=1.1, hi=3.0)
+        target = rng.uniform(0.1, 0.9)
+        b = 10.0 ** rng.uniform(-3, 3)
+        # |a1| r2 (1 - target) = 1 + |a0|: the root lies inside r2
+        a = (1.0 + b) / (spectral_profile(w).r2 * (1.0 - target))
+        phases = np.exp(2j * math.pi * rng.uniform(size=2))
+        ops.append(OperatorSpec(w, Polynomial((complex(b * phases[0]), complex(a * phases[1])))))
+    return ops
+
+
+@pytest.mark.parametrize("op", _affine_ops())
+def test_stability_radius_matches_affine_closed_form(op):
+    # |a0 + a1 z| >= |a1| |z| - |a0| > 1 exactly for |z| > (1 + |a0|) / |a1|,
+    # so the radius cannot exceed 1 - (1 + |a0|) / (|a1| r2)
+    a0, a1 = op.map.affine_form()
+    closed = 1.0 - (1.0 + abs(a0)) / (abs(a1) * spectral_profile(op.weights).r2)
     delta = stability_radius(op)
     assert closed * (1.0 - 1e-8) <= delta <= closed
 

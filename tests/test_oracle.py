@@ -298,10 +298,22 @@ def test_valid_winding_counts_roots_inside():
 
 
 def _exact_roots(coeffs) -> list:
-    """Every root of the float polynomial, from mpmath at 50 digits."""
+    """Every root of the float polynomial, from mpmath at 50 digits:
+    ``polyroots``, or where it does not converge (a multiple root, such as
+    that of (z - 1)^4), the eigenvalues of the companion matrix, whose error
+    on a root of multiplicity m is about 10^(-50/m)."""
     with mpmath.workdps(50):
-        return mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)],
-                                maxsteps=400, extraprec=400)
+        desc = [mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)]
+        try:
+            return mpmath.polyroots(desc, maxsteps=400, extraprec=400)
+        except mpmath.mp.NoConvergence:
+            n = len(desc) - 1
+            companion = mpmath.matrix(n, n)
+            for j in range(n):
+                companion[0, j] = -desc[j + 1] / desc[0]
+            for i in range(1, n):
+                companion[i, i - 1] = 1
+            return list(mpmath.eig(companion, left=False, right=False))
 
 
 def _root_radius(coeffs, z) -> float:
@@ -335,6 +347,8 @@ _planted = st.builds(lambda m, t: m * complex(math.cos(t), math.sin(t)), _moduli
     zeros=st.integers(0, 2),
     scale=st.sampled_from([1e-150, 1e-50, 1.0, 1e50, 1e150]),
 )
+# (z - 1)^4, on which mpmath.polyroots does not converge
+@example(planted=[1 + 0j] * 4, double=False, lead=1 + 0j, zeros=0, scale=1.0)
 def test_roots_match_mpmath(planted, double, lead, zeros, scale):
     # degree 1-4 with planted roots, a double root, a small leading
     # coefficient, zero roots and overall scales of 1e+-150: every root
@@ -459,8 +473,9 @@ FALLBACKS = {
     "unpolishable": (None, WeightSequence.doubling_blocks(2.0, 1.0)),
     # a companion matrix past the float range: numpy's LinAlgError
     "companion-overflow": (Polynomial((1e10, 0, 0, 1e-300)), WeightSequence.constant(2.0)),
-    # a root disk across the inner circle |z| = 2
-    "disk-on-circle": (Polynomial((-2, 1)), WeightSequence.doubling_blocks(3.0, 2.0)),
+    # a root disk across the inner circle |z| = 2: (z - 2)(z + 0.5), since the
+    # affine z - 2 is decided in closed form and reads no placement
+    "disk-on-circle": (Polynomial((-1, -1.5, 1)), WeightSequence.doubling_blocks(3.0, 2.0)),
     # subnormal coefficients: a polished root whose modulus leaves the float range
     "modulus-overflow": (Polynomial((2.225073858507e-311 * (1 + 0.5j),) * 3), WeightSequence.constant(2.0)),
 }
@@ -485,6 +500,9 @@ def test_placement_fallbacks_decide_as_sampled_windings(case):
     elif case == "modulus-overflow":
         with pytest.raises(OverflowError):
             f.placement.complete
+    elif case == "disk-on-circle":
+        ann = Annulus(2.0, 3.0)
+        assert f.placement.complete and f.placement.zero_in(ann) is f.placement.count_within(ann) is None
     op, twin = OperatorSpec(w, f), OperatorSpec(w, _series_twin(f))
     v, t = i_of_adjoint(op), i_of_adjoint(twin)
     assert v == t and v.inner_winding == t.inner_winding
@@ -501,6 +519,58 @@ def test_series_maps_and_zero_inner_radius_sample_their_windings():
     f = Polynomial((0.5, 0, 1.0))
     ann = Annulus(0.0, 1.5)
     assert min_modulus_on_annulus(f, ann) == min_modulus_on_annulus(_series_twin(f), ann)
+
+
+# -- affine maps a0 + a1 z in closed form ---------------------------------------
+
+_log_moduli = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # 1e-3 to 1e3, log-uniform
+_phases = st.floats(0.0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_log_moduli, a=_log_moduli, p0=_phases, p1=_phases,
+       inner=st.floats(-2.0, 1.5).map(lambda e: 10.0**e),
+       ratio=st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+# the root 2 in the annulus [1.5, 3]
+@example(b=2.0, a=1.0, p0=-1 + 0j, p1=1 + 0j, inner=1.5, ratio=2.0)
+def test_affine_closed_form_against_mpmath(b, a, p0, p1, inner, ratio):
+    # the bound lies below the true minimum at 50 digits, which lies within
+    # the rounding allowance of the sample (a float Horner value, which may
+    # undercut the true minimum by rounding); the witness lies on the annulus
+    # and, where it certifies a violation, interval arithmetic shows |f| <= 1
+    f = Polynomial((b * p0, a * p1))
+    ann = Annulus(inner, inner * ratio)
+    cert = min_modulus_on_annulus(f, ann)
+    allowance = f.eval_round_error(ann.outer)
+    w = cert.witness_point
+    with mpmath.workdps(50):
+        a0, a1 = (mpmath.mpc(c.real, c.imag) for c in f.coeffs)
+        true_min = max(0, abs(a1) * ann.inner - abs(a0), abs(a0) - abs(a1) * ann.outer)
+        assert cert.lower_bound <= true_min <= cert.min_sampled + allowance
+        assert abs(abs(a0 + a1 * mpmath.mpc(w.real, w.imag)) - cert.min_sampled) <= allowance
+    assert ann.inner * (1.0 - 1e-12) <= abs(w) <= ann.outer * (1.0 + 1e-12)
+    if cert.certifies_violation:
+        assert proves_violation(f.coeffs, ann.inner, ann.outer, w)
+
+
+def test_affine_maps_decide_as_their_scanned_twins():
+    # 500 affine draws on random weights, each with min |f| at least 1e-6
+    # from the threshold: the closed form decides as the circle scan of the
+    # series twin does
+    rng = np.random.default_rng(34)
+    decisions = []
+    while len(decisions) < 500:
+        w = random_weights(rng)
+        a0, a1 = 10.0 ** rng.uniform(-1, 1, 2) * np.exp(2j * math.pi * rng.uniform(size=2))
+        prof = spectral_profile(w)
+        true_min = max(0.0, abs(a1) * prof.r2 - abs(a0), abs(a0) - abs(a1) * prof.r1)
+        if abs(true_min - 1.0) < 1e-6:
+            continue
+        f = Polynomial((complex(a0), complex(a1)))
+        v, t = decide_geometric(OperatorSpec(w, f)), decide_geometric(OperatorSpec(w, _series_twin(f)))
+        assert v.route == "CLOSED_FORM" and v.decision == t.decision, (w.to_dict(), f.coeffs)
+        decisions.append(v.decision)
+    assert min(decisions.count(d) for d in ("JCLASS", "NOT_JCLASS")) >= 100
 
 
 def test_root_disk_witness_holds_a_root_at_50_digits(monkeypatch):
